@@ -6,14 +6,11 @@ bit-accurate engine, and a crossbar-layer forward pass. They guard
 against performance regressions rather than reproducing a paper number.
 
 The engine and conv kernels run once per registered compute backend
-(``reference``, ``vectorized`` and ``accel``); each (kernel, backend)
-pair writes a ``kernels-<kernel>-<backend>.json`` sidecar whose
-``elapsed_s`` is the measured mean, so the ``bench-regress`` gate
-tracks every kernel set independently. Non-reference sidecars record
-``speedup_vs_reference`` (and accel additionally
-``speedup_vs_vectorized`` and its resolved ``accel.offload_tier``, so
-history rows from BLAS-only environments are never gated against
-numba/torch runs).
+(``reference`` and ``vectorized``); each (kernel, backend) pair writes
+a ``kernels-<kernel>-<backend>.json`` sidecar whose ``elapsed_s`` is
+the measured mean, so the ``bench-regress`` gate tracks every kernel
+set independently. ``vectorized`` sidecars record
+``speedup_vs_reference``.
 """
 
 import pytest
@@ -32,7 +29,7 @@ from repro.nn.tensor import Tensor
 from repro.xbar.engine import CrossbarEngine
 from repro.utils.rng import make_rng
 
-BACKENDS = ("reference", "vectorized", "accel")
+BACKENDS = ("reference", "vectorized")
 
 #: Mean seconds per (kernel, backend), for the speedup sidecar fields.
 _MEANS = {}
@@ -51,14 +48,6 @@ def _record(benchmark, kernel: str, backend: str) -> None:
     if backend != "reference" and ref:
         data["speedup_vs_reference"] = ref / mean
         note = f"  ({ref / mean:.1f}x vs reference)"
-    if backend == "accel":
-        from repro.backend import get_backend
-
-        vec = _MEANS.get((kernel, "vectorized"))
-        if vec:
-            data["speedup_vs_vectorized"] = vec / mean
-            note += f" ({vec / mean:.1f}x vs vectorized)"
-        data["accel.offload_tier"] = get_backend("accel").offload_tier()
     report(f"kernels-{kernel}-{backend}",
            [f"{kernel} [{backend}]: mean {mean * 1e3:.3f} ms" + note],
            data=data, elapsed_s=mean)

@@ -1,7 +1,9 @@
 """Composable non-ideality scenarios over any :class:`ArrayBackend`.
 
 A *scenario* is one stackable device/environment non-ideality — stuck-at
-fault maps (extending :mod:`repro.device.faults`), a temperature
+fault maps (:mod:`repro.device.faults`; the library's only stuck-at
+mechanism, which ``DeployConfig.saf_rates`` / ``--saf`` prepend to the
+stack as sugar), a temperature
 coefficient on every cell's conductance (arXiv 2105.05534),
 time-indexed conductance drift/retention, extra program-verify noise —
 expressed as a transform of the freshly-programmed cell image.
@@ -18,8 +20,8 @@ Scenario objects are frozen parameter records; the *persistent* chip
 state they imply (which cells are stuck, each cell's temperature
 coefficient, each cell's drift exponent) is sampled once per array
 region from a dedicated seed stream and reused across programming
-cycles — the same chip-persistence discipline as
-:class:`repro.device.faults.FaultyDeviceModel`. Per-cycle noise
+cycles, as on silicon: every region draws its own state, so two
+same-shaped layers never share stuck cells. Per-cycle noise
 (:class:`ProgramNoiseScenario`) instead draws from the programming rng
 *after* the wrapped backend consumed its draws, so an empty stack
 leaves the draw sequence untouched (the bit-parity guarantee).

@@ -2,9 +2,10 @@
 
 :class:`SimArray` is the original pipeline's device physics — a
 :class:`repro.device.lut.DeviceModel` (lognormal DDV/CCV, finite ON/OFF
-ratio, bit-sliced cells) optionally wrapped in
-:class:`repro.device.faults.FaultyDeviceModel` — re-packaged as an
-:class:`repro.array.base.ArrayBackend`. Programming delegates to
+ratio, bit-sliced cells) — re-packaged as an
+:class:`repro.array.base.ArrayBackend`. Stuck-at faults and the other
+non-idealities are scenarios (:mod:`repro.array.scenarios`) layered
+over it, not part of the simulator. Programming delegates to
 ``device.program_cells`` with the caller's rng, so the random draw
 sequence is *identical* to calling the device model directly: the
 bit-parity guarantee of the refactor holds by construction, not by
@@ -18,13 +19,12 @@ within each weight).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.array.base import ArrayBackend
 from repro.device.cell import CellType
-from repro.device.faults import FaultyDeviceModel
 from repro.device.lut import DeviceModel, device_key_components
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import RngLike
@@ -32,29 +32,17 @@ from repro.xbar.crossbar import Crossbar
 
 __all__ = ["SimArray"]
 
-#: Anything SimArray can drive: the bare lognormal model or its
-#: stuck-at-fault wrapper (both expose ``program_cells``).
-SimDevice = Union[DeviceModel, FaultyDeviceModel]
-
-
-def _base_device(device: SimDevice) -> DeviceModel:
-    """The underlying :class:`DeviceModel` (unwraps a fault wrapper)."""
-    return device.device if isinstance(device, FaultyDeviceModel) else device
-
-
 class SimArray(ArrayBackend):
-    """Simulated RRAM array: lognormal variation, optional stuck-at faults.
+    """Simulated RRAM array: lognormal device-to-device and
+    cycle-to-cycle variation.
 
     One instance is one array region of ``rows`` x ``cols`` weights
-    (``rows`` x ``cols * cells_per_weight`` physical cells). The chip's
-    persistent state (the fault map of a :class:`FaultyDeviceModel`)
-    lives in the wrapped device and therefore survives re-programming,
-    exactly as on silicon.
+    (``rows`` x ``cols * cells_per_weight`` physical cells).
     """
 
     name = "sim"
 
-    def __init__(self, device: SimDevice, rows: int, cols: int):
+    def __init__(self, device: DeviceModel, rows: int, cols: int):
         """Build an unprogrammed array over ``device`` physics.
 
         ``rows`` / ``cols`` are the weight-matrix dimensions; the cell
@@ -89,7 +77,7 @@ class SimArray(ArrayBackend):
     @property
     def cell(self) -> CellType:
         """The cell technology of the simulated devices."""
-        return _base_device(self.device).cell
+        return self.device.cell
 
     # ------------------------------------------------------------------
     # programming / read-back
@@ -158,12 +146,8 @@ class SimArray(ArrayBackend):
         """Backend name + every device parameter that shapes the physics.
 
         Flat scalar dict (nested under ``array_components`` in serve
-        keys); fault rates appear only when a fault wrapper is present,
-        keeping pre-HAL keys' information content unchanged.
+        keys).
         """
         components: Dict[str, Any] = {"array": self.name}
-        components.update(device_key_components(_base_device(self.device)))
-        if isinstance(self.device, FaultyDeviceModel):
-            components["sa0_rate"] = self.device.sa0_rate
-            components["sa1_rate"] = self.device.sa1_rate
+        components.update(device_key_components(self.device))
         return components

@@ -22,7 +22,9 @@ Selection, in precedence order:
 3. the ``REPRO_BACKEND`` environment variable;
 4. the built-in default, ``vectorized``.
 
-``reference`` is the original loop-based code and serves as the
+Two kernel sets ship with the library: ``vectorized`` (strided-view
+windows and the bit-plane-packed GEMM VMM — the one fast set) and
+``reference``, the original loop-based code, which serves as the
 correctness oracle: every registered backend must match it within float
 rounding (asserted by ``tests/backend/``). Third parties add kernel
 sets with :func:`register_backend`.
@@ -134,13 +136,11 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
 
 def _register_builtins() -> None:
     """Register the kernel sets that ship with the library."""
-    from repro.backend.accel import AccelBackend
     from repro.backend.reference import ReferenceBackend
     from repro.backend.vectorized import VectorizedBackend
 
     register_backend(ReferenceBackend.name, ReferenceBackend, replace=True)
     register_backend(VectorizedBackend.name, VectorizedBackend, replace=True)
-    register_backend(AccelBackend.name, AccelBackend, replace=True)
 
 
 _register_builtins()

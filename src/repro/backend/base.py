@@ -14,9 +14,7 @@ Two implementations ship with the library:
 * ``reference`` (:mod:`repro.backend.reference`) — the original
   loop-based kernels, kept verbatim as the correctness oracle;
 * ``vectorized`` (:mod:`repro.backend.vectorized`) — the default:
-  strided-view windows and a batched bit-serial VMM;
-* ``accel`` (:mod:`repro.backend.accel`) — the bit-plane-packed BLAS
-  reformulation of the VMM, with optional numba/torch offload tiers.
+  strided-view windows and the bit-plane-packed GEMM VMM.
 
 Every backend must be *numerically interchangeable* with ``reference``
 up to float rounding; the guarantee is asserted by the shared
@@ -24,8 +22,9 @@ equivalence suite in ``tests/backend/``.
 
 :class:`EngineOperands` carries the forward-invariant state of one
 crossbar engine (cells, significances, registers, complement masks and
-the derived matrices) so backends can cache expensive precomputations
-per engine instead of rebuilding them on every ``forward`` call.
+the derived packed matrices) so backends can cache expensive
+precomputations per engine instead of rebuilding them on every
+``forward`` call.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ class EngineOperands:
     of shape (rows, cols, n_cells), the per-group registers/complement
     masks of shape (n_groups, cols) and the quantization geometry. The
     derived views backends need — the crossbar real weights, the
-    group-padded cell tensor, the complement sign matrix and the
-    per-group input-sum gain of Eq. 7 — are computed lazily and cached,
+    complement sign matrix, the per-group input-sum gain of Eq. 7 and
+    the packed GEMM operands — are computed lazily and cached,
     so each backend only ever pays for the intermediates it uses and
     repeated ``forward`` calls recompute nothing.
     """
@@ -73,9 +72,7 @@ class EngineOperands:
         self.rows, self.cols, self.n_cells = self.cells.shape
         self.n_groups = self.registers.shape[0]
         self._crw: Optional[np.ndarray] = None
-        self._cells_grouped: Optional[np.ndarray] = None
         self._sign: Optional[np.ndarray] = None
-        self._signed_crw_grouped: Optional[np.ndarray] = None
         self._offset_gain: Optional[np.ndarray] = None
         self._offset_gain_rows: Optional[np.ndarray] = None
         self._packed_ideal_weights: Optional[np.ndarray] = None
@@ -109,37 +106,12 @@ class EngineOperands:
         return self._crw
 
     @property
-    def cells_grouped(self) -> np.ndarray:
-        """Cells regrouped by offset group: shape
-        (n_groups, granularity, cols, n_cells), zero-padded rows."""
-        if self._cells_grouped is None:
-            padded = self._pad_rows(self.cells)
-            self._cells_grouped = padded.reshape(
-                self.n_groups, self.granularity, self.cols, self.n_cells)
-        return self._cells_grouped
-
-    @property
     def sign(self) -> np.ndarray:
         """Complement sign per group/column: +1 plain, -1 complemented,
         shape (n_groups, cols)."""
         if self._sign is None:
             self._sign = 1.0 - 2.0 * self.complement.astype(np.float64)
         return self._sign
-
-    @property
-    def signed_crw_grouped(self) -> np.ndarray:
-        """CRW regrouped and pre-multiplied by the complement sign:
-        shape (n_groups, granularity, cols).
-
-        Contracting quantized inputs against this matrix yields the
-        signed analog contribution of every group in one pass — the
-        ideal-ADC fast path of the vectorized backend.
-        """
-        if self._signed_crw_grouped is None:
-            grouped = self._pad_rows(self.crw).reshape(
-                self.n_groups, self.granularity, self.cols)
-            self._signed_crw_grouped = grouped * self.sign[:, None, :]
-        return self._signed_crw_grouped
 
     @property
     def offset_gain(self) -> np.ndarray:
@@ -165,8 +137,8 @@ class EngineOperands:
         Because every row of group ``g`` contributes its input once to
         the group sum ``gx_g``, the per-group digital term
         ``gx @ offset_gain`` equals the per-row GEMM
-        ``x @ offset_gain_rows`` — which lets the accel backend fold the
-        offset add into the packed weight matrix.
+        ``x @ offset_gain_rows`` — which lets the vectorized backend fold
+        the offset add into the packed weight matrix.
         """
         if self._offset_gain_rows is None:
             expanded = np.repeat(self.offset_gain, self.granularity, axis=0)
@@ -193,26 +165,26 @@ class EngineOperands:
         DESIGN.md's bit-plane packing section for the derivation.
         """
         if self._packed_ideal_weights is None:
-            flat_signed = self.signed_crw_grouped.reshape(
-                self.padded_rows, self.cols)[:self.rows]
+            sign_rows = np.repeat(self.sign, self.granularity,
+                                  axis=0)[:self.rows]
             self._packed_ideal_weights = np.ascontiguousarray(
-                flat_signed + self.offset_gain_rows
+                sign_rows * self.crw + self.offset_gain_rows
                 - float(self.weight_zero_point))
         return self._packed_ideal_weights
 
     @property
     def cells_packed(self) -> np.ndarray:
-        """:attr:`cells_grouped` with the column and cell axes merged
-        into one GEMM output axis: shape (n_groups, granularity,
-        cols * n_cells), contiguous.
+        """Cells regrouped by offset group (zero-padded rows) with the
+        column and cell axes merged into one GEMM output axis: shape
+        (n_groups, granularity, cols * n_cells), contiguous.
 
-        The batched-matmul operand of the accel backend's finite-ADC
+        The batched-matmul operand of the vectorized backend's finite-ADC
         path: ``(k, bits*N, m) @ (k, m, cols*n_cells)`` produces every
         per-(bit, group, column, cell) current in one BLAS call.
         """
         if self._cells_packed is None:
             self._cells_packed = np.ascontiguousarray(
-                self.cells_grouped.reshape(
+                self._pad_rows(self.cells).reshape(
                     self.n_groups, self.granularity,
                     self.cols * self.n_cells))
         return self._cells_packed
@@ -274,20 +246,6 @@ class KernelBackend(abc.ABC):
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    #: Numeric-equivalence class folded into content-addressed cache
-    #: keys (e.g. the serve_program registry) in place of the backend
-    #: name. Backends that produce bitwise-identical results on the
-    #: deployed fast-float path share a tag, so switching between them
-    #: warm-starts the same programmed artifacts instead of
-    #: re-deploying. Defaults to the backend name (no sharing);
-    #: ``accel`` shares ``vectorized``'s tag.
-    cache_tag: str = "abstract"
-
-    def status(self) -> str:
-        """A one-line availability note for ``repro backends``; kernel
-        sets with optional offload tiers override this."""
-        return "available"
 
     # ------------------------------------------------------------------
     # convolution / pooling window kernels

@@ -6,15 +6,23 @@ throughput:
 * im2col and pooling windows are built from one
   ``np.lib.stride_tricks.as_strided`` view copied in a single pass
   instead of a python loop over kernel positions;
-* the bit-serial crossbar VMM vectorizes the input-bit × offset-group ×
-  cell-significance loops of the reference engine into a handful of
-  batched einsums over the group-reshaped cell tensor — with an ideal
-  ADC the whole accumulation collapses to *one* contraction against the
-  cached sign-folded CRW (:attr:`EngineOperands.signed_crw_grouped`);
-* the digital offset add (Eq. 7) and the complement post-processing use
-  the precomputed per-group input-sum gain matrix
-  (:attr:`EngineOperands.offset_gain`): one (N, k) @ (k, cols) matmul
-  replaces the per-group broadcast/where pass.
+* the bit-serial crossbar VMM is reformulated as a few large GEMMs over
+  bit-plane-packed operands cached on :class:`EngineOperands`:
+
+  - with an **ideal ADC** every term of the integer-domain output is
+    linear in the quantized inputs, so the analog contraction, the
+    Eq. 7 offset add, the complement post-processing and the ISAAC
+    zero-point correction all fold into *one* packed matrix
+    (:attr:`EngineOperands.packed_ideal_weights`) — the whole forward
+    is a single ``xq @ P`` BLAS call;
+  - with a **finite ADC** the conversion is nonlinear per
+    (input bit, offset group) current, so the bit planes cannot
+    telescope — instead all ``input_bits`` planes are stacked into one
+    batched matmul ``(k, bits*N, m) @ (k, m, cols*cells)`` against the
+    cached :attr:`EngineOperands.cells_packed`, converted through the
+    ADC once, then collapsed by two cheap contractions (bit weights,
+    cell significances). Batches are chunked so the stacked
+    intermediate stays within :data:`PACKED_BYTES_LIMIT` bytes.
 
 Numerical interchangeability with ``reference`` (up to float rounding)
 is asserted by the shared equivalence suite in ``tests/backend/``.
@@ -32,6 +40,11 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.backend.base import EngineOperands, KernelBackend
+
+#: Byte budget for the stacked finite-ADC intermediates; batches are
+#: chunked so ``k * bits * chunk * cols * cells`` float64 currents (and
+#: the matching drive planes) stay under it.
+PACKED_BYTES_LIMIT = 64 * 1024 * 1024
 
 
 def _window_view(x: np.ndarray, kh: int, kw: int,
@@ -51,11 +64,43 @@ def _window_view(x: np.ndarray, kh: int, kw: int,
     return view, oh, ow
 
 
+def _finite_chunk_rows(op: EngineOperands) -> int:
+    """Samples per chunk keeping the stacked (k, bits*N, cols*cells)
+    currents and (k, bits*N, m) drive planes under the byte budget."""
+    per_sample = (8 * op.input_bits * op.n_groups
+                  * (op.granularity + op.cols * op.n_cells))
+    return max(1, PACKED_BYTES_LIMIT // per_sample)
+
+
+def _finite_analog(xq: np.ndarray, op: EngineOperands) -> np.ndarray:
+    """Finite-ADC analog term via the stacked bit-plane batched matmul:
+    quantized inputs (N, rows) -> signed analog outputs (N, cols),
+    before the digital offset / zero-point terms."""
+    n = xq.shape[0]
+    k, c, s = op.n_groups, op.cols, op.n_cells
+    bits = op.input_bits
+    cells = op.cells_packed                                 # (k, m, c*s)
+    z = np.empty((n, c), dtype=np.float64)
+    chunk = _finite_chunk_rows(op)
+    for lo in range(0, n, chunk):
+        xq_c = xq[lo:lo + chunk]
+        nn = xq_c.shape[0]
+        drive = op.grouped_bit_planes(xq_c)                 # (k, bits*nn, m)
+        currents = np.matmul(drive, cells)                  # (k, bits*nn, c*s)
+        converted = op.adc.convert(currents)
+        weighted = np.einsum(
+            "b,kbnx->knx", op.bit_weights,
+            converted.reshape(k, bits, nn, c * s), optimize=True)
+        folded = weighted.reshape(k, nn, c, s) @ op.significance
+        z[lo:lo + nn] = np.einsum("knc,kc->nc", folded, op.sign,
+                                  optimize=True)
+    return z
+
+
 class VectorizedBackend(KernelBackend):
-    """Strided-view windows and batched bit-serial VMM kernels."""
+    """Strided-view windows and bit-plane-packed GEMM VMM kernels."""
 
     name = "vectorized"
-    cache_tag = "vectorized"
 
     # ------------------------------------------------------------------
     # im2col / col2im / pooling windows
@@ -108,43 +153,19 @@ class VectorizedBackend(KernelBackend):
         return view.reshape(n, c, k * k, oh, ow)
 
     # ------------------------------------------------------------------
-    # batched bit-serial crossbar VMM
+    # bit-plane-packed crossbar VMM
     # ------------------------------------------------------------------
     def _engine_vmm(self, xq: np.ndarray, op: EngineOperands) -> np.ndarray:
-        """Batched crossbar VMM: quantized inputs (N, rows) ->
+        """Packed crossbar VMM: quantized inputs (N, rows) ->
         integer-domain outputs (N, cols).
 
-        With an ideal ADC the bit-serial accumulation telescopes
-        exactly (``sum_b 2^b x_bit = x``), so the analog term is one
-        contraction of the group-reshaped inputs against the cached
-        sign-folded CRW. A finite-resolution ADC must convert each
-        (input bit, offset group) current separately; that path loops
-        over the ``input_bits`` bit planes only and contracts all
-        groups, columns and cell significances in batched einsums.
+        Ideal ADC: one GEMM against the cached packed matrix (analog +
+        offset + complement + zero-point all folded in). Finite ADC:
+        the stacked bit-plane batched matmul, then the Eq. 7
+        offset/complement GEMM and the ISAAC zero-point correction.
         """
         xqf = xq.astype(np.float64)
-        gx = op.group_input_sums(xqf)                       # (N, k)
-
         if op.adc.ideal:
-            z = np.einsum("nkm,kmc->nc", op.grouped_inputs(xqf),
-                          op.signed_crw_grouped, optimize=True)
-        else:
-            n = xq.shape[0]
-            cells_g = op.cells_grouped                      # (k, m, c, s)
-            z_groups = np.zeros((n, op.n_groups, op.cols))
-            for bit in range(op.input_bits):
-                x_bit = ((xq >> bit) & 1).astype(np.float64)
-                drive = op.grouped_inputs(x_bit)            # (N, k, m)
-                currents = np.einsum("nkm,kmcs->nkcs", drive, cells_g,
-                                     optimize=True)
-                converted = op.adc.convert(currents)
-                z_groups += float(1 << bit) * np.einsum(
-                    "nkcs,s->nkc", converted, op.significance,
-                    optimize=True)
-            z = np.einsum("nkc,kc->nc", z_groups, op.sign, optimize=True)
-
-        # Digital offset + complement folded into one matmul (Eq. 7),
-        # then the ISAAC zero-point correction.
-        z = z + gx @ op.offset_gain
-        total_x = xqf.sum(axis=1, keepdims=True)
-        return z - op.weight_zero_point * total_x
+            return xqf @ op.packed_ideal_weights
+        z = _finite_analog(xq, op) + op.group_input_sums(xqf) @ op.offset_gain
+        return z - op.weight_zero_point * xqf.sum(axis=1, keepdims=True)

@@ -37,12 +37,13 @@ STAGE_VERSIONS: Mapping[str, int] = {
     "calibrate": 1,     # per-layer input activation peaks (core.pipeline)
     "gradients": 1,     # per-weight gradient RMS estimates (core.pipeline)
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 3,  # programmed deployments (serve.registry);
+    "serve_program": 4,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v3: key folds the backend's cache_tag
-                         # (numeric-equivalence class) instead of its
-                         # name, so accel/vectorized share artifacts
+                         # v4: cache_tag and saf_rates left the key —
+                         # the backend name keys it, and --saf arrives
+                         # as a leading stuck_at scenario
 
 }
 

@@ -90,7 +90,7 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
 
 def _add_backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", default=None, metavar="NAME",
-                   help="compute backend for all kernels (vectorized, accel, "
+                   help="compute backend for all kernels (vectorized, "
                         "reference; see 'repro backends'); default: "
                         "$REPRO_BACKEND or vectorized. Every backend is "
                         "numerically interchangeable")
@@ -146,7 +146,9 @@ def _add_deploy(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--saf", type=float, nargs=2, metavar=("SA0", "SA1"),
-                   default=None, help="stuck-at fault rates")
+                   default=None,
+                   help="stuck-at fault rates (sugar for a leading "
+                        "'stuck_at:sa0_rate=SA0,sa1_rate=SA1' scenario)")
     _add_jobs_arg(p)
     _add_array_args(p)
     _add_cache_args(p)
@@ -171,7 +173,9 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="responses bitwise-match trial 0 of `repro deploy "
                         "--seed N` (default: 0)")
     p.add_argument("--saf", type=float, nargs=2, metavar=("SA0", "SA1"),
-                   default=None, help="stuck-at fault rates")
+                   default=None,
+                   help="stuck-at fault rates (sugar for a leading "
+                        "'stuck_at:sa0_rate=SA0,sa1_rate=SA1' scenario)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7453,
                    help="TCP port; 0 picks an ephemeral port "
@@ -514,20 +518,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.array import available_arrays, default_array_name, get_array
-    from repro.backend import (available_backends, default_backend_name,
-                               get_backend)
-    active = default_backend_name()
-    _echo("compute backends (REPRO_BACKEND / --backend):")
-    for name in available_backends():
-        marker = "*" if name == active else " "
-        _echo(f"{marker} {name:<12} {get_backend(name).status()}")
-    active_array = default_array_name()
-    _echo("array backends (REPRO_ARRAY / --array):")
-    for name in available_arrays():
-        marker = "*" if name == active_array else " "
-        get_array(name)                      # import-checks the family
-        _echo(f"{marker} {name:<12} available")
+    from repro.array import available_arrays, default_array_name
+    from repro.backend import available_backends, default_backend_name
+    for title, names, active in (
+            ("compute backends (REPRO_BACKEND / --backend):",
+             available_backends(), default_backend_name()),
+            ("array backends (REPRO_ARRAY / --array):",
+             available_arrays(), default_array_name())):
+        _echo(title)
+        for name in names:
+            _echo(f"{'*' if name == active else ' '} {name}")
     return 0
 
 
@@ -544,13 +544,8 @@ def _cmd_info(_args: argparse.Namespace) -> int:
           "(repro.parallel, bit-identical to serial)")
     _echo("serving:       repro serve (micro-batched, bitwise-"
           "reproducible; registry warm starts via the artifact cache)")
-    from repro.backend import available_backends, default_backend_name
-    _echo(f"backends:      {', '.join(available_backends())} "
-          f"(active: {default_backend_name()}; REPRO_BACKEND / --backend)")
-    from repro.array import available_arrays, default_array_name
+    _echo("backends:      see 'repro backends' (compute kernels and arrays)")
     from repro.array.scenarios import available_scenarios
-    _echo(f"arrays:        {', '.join(available_arrays())} "
-          f"(active: {default_array_name()}; REPRO_ARRAY / --array)")
     _echo(f"scenarios:     {', '.join(available_scenarios())} "
           "(--scenarios 'name:param=value;…' on deploy/serve)")
     return 0
@@ -572,7 +567,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_obs(sub)
     sub.add_parser("info", help="library and environment information")
     sub.add_parser("backends",
-                   help="list compute/array backends with availability")
+                   help="list compute/array backends, marking the active ones")
 
     args = parser.parse_args(argv)
     backend = getattr(args, "backend", None)

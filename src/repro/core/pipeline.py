@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 from repro.array import ArrayBackend, default_array_name, get_array
 from repro.array.scenarios import (ScenarioArray, ScenarioSpec,
-                                   parse_scenario_spec,
+                                   StuckAtScenario, parse_scenario_spec,
                                    scenario_key_components)
 from repro.backend import default_backend_name
 from repro.cache import (CacheStore, active_store, digest_array,
@@ -88,7 +88,9 @@ class DeployConfig:
     bn_recalibrate: bool = False    # refresh BatchNorm stats post-writing
     # Optional stuck-at faults: (sa0_rate, sa1_rate) of cells pinned to
     # their OFF/ON conductance. Faults are invisible to VAWO (a-priori)
-    # but visible to PWT's read-back — matching real deployments.
+    # but visible to PWT's read-back — matching real deployments. Sugar
+    # for a leading ``stuck_at`` scenario: __post_init__ moves it onto
+    # the scenario stack and resets this field to None.
     saf_rates: Optional[Tuple[float, float]] = None
     # Which registered array family programs the crossbars (None =
     # process default: --array / REPRO_ARRAY / "sim") and which
@@ -110,6 +112,13 @@ class DeployConfig:
         # Normalise the scenario spec once so equal configs compare (and
         # fingerprint) equal regardless of which spec form built them.
         self.scenarios = parse_scenario_spec(self.scenarios)
+        if self.saf_rates is not None:
+            sa0, sa1 = self.saf_rates
+            self.scenarios = (StuckAtScenario(float(sa0), float(sa1)),
+                              *self.scenarios)
+            # Consumed: re-normalising (dataclasses.replace) must not
+            # prepend the scenario a second time.
+            self.saf_rates = None
 
     @classmethod
     def from_method(cls, method: str, **kwargs: Any) -> "DeployConfig":
@@ -246,8 +255,6 @@ class Deployer:
         # Per-stage seeds, drawn in a fixed config-determined order —
         # never conditional on cache state (see DESIGN.md, "Why stage
         # keys exclude RNG-dependent inputs").
-        saf_seed = (derive_seed(self._rng)
-                    if config.saf_rates is not None else None)
         self._lut_seed = (derive_seed(self._rng)
                           if config.lut_source == "monte_carlo" else None)
         self._grad_seed = derive_seed(self._rng) if config.use_vawo else None
@@ -259,13 +266,6 @@ class Deployer:
         self.array_name = (config.array if config.array is not None
                            else default_array_name())
         get_array(self.array_name)       # unknown names fail at build time
-        if config.saf_rates is not None:
-            from repro.device.faults import FaultyDeviceModel
-            sa0, sa1 = config.saf_rates
-            self.programmer = FaultyDeviceModel(self.device, sa0_rate=sa0,
-                                                sa1_rate=sa1, rng=saf_seed)
-        else:
-            self.programmer = self.device
         self.lut = self._build_lut()
         self.layers: List[LayerPrep] = self._prepare_layers()
         self._calibrate_inputs()
@@ -511,15 +511,14 @@ class Deployer:
     def _build_arrays(self) -> List[ArrayBackend]:
         """One array region per layer, built by the selected family.
 
-        The factory receives the deployer's programmer (the lognormal
-        device model, fault-wrapped when ``saf_rates`` is set) and the
-        layer's matrix shape; a configured scenario stack wraps every
+        The factory receives the deployer's lognormal device model and
+        the layer's matrix shape; a configured scenario stack wraps every
         region in a :class:`ScenarioArray` with its own persistent-state
         stream (one ``SeedSequence`` child per layer).
         """
         factory = get_array(self.array_name)
         arrays: List[ArrayBackend] = [
-            factory(self.programmer, prep.plan.rows, prep.plan.cols)
+            factory(self.device, prep.plan.rows, prep.plan.cols)
             for prep in self.layers]
         if self.config.scenarios:
             seeds = spawn_seeds(self._scenario_seed, len(arrays))

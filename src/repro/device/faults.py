@@ -5,10 +5,13 @@ compensation scheme, which targets *stuck-at faults* rather than
 resistance variation: fabrication defects pin a cell permanently to its
 lowest (stuck-at-0 / high resistance) or highest (stuck-at-1 / low
 resistance) conductance regardless of what is programmed. Real arrays
-exhibit both SAFs and variation, so this module adds an SAF layer on
-top of :class:`~repro.device.lut.DeviceModel`: a deployment can then
-measure how much of the SAF damage the (group-shared) offsets recover —
-the extension studied in ``benchmarks/bench_faults.py``.
+exhibit both SAFs and variation, so this module provides the persistent
+per-cell fault maps that the ``stuck_at`` scenario
+(:class:`repro.array.scenarios.StuckAtScenario`, also reached through
+``DeployConfig.saf_rates`` / ``--saf``) pins over each freshly
+programmed array: a deployment can then measure how much of the SAF
+damage the (group-shared) offsets recover — the extension studied in
+``benchmarks/bench_faults.py``.
 
 Typical published SAF rates are ~1-10% of cells, split roughly 1:5
 between stuck-at-1 and stuck-at-0 (SA0 dominates).
@@ -17,12 +20,11 @@ between stuck-at-1 and stuck-at-0 (SA0 dominates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.device.cell import CellType
-from repro.device.lut import DeviceModel
 from repro.utils.rng import RngLike, make_rng
 
 
@@ -83,63 +85,3 @@ def sample_fault_map(shape: Tuple[int, ...], sa0_rate: float,
     u = rng.random(shape)
     return FaultMap(stuck_at_0=u < sa0_rate,
                     stuck_at_1=(u >= sa0_rate) & (u < sa0_rate + sa1_rate))
-
-
-@dataclass
-class FaultyDeviceModel:
-    """A :class:`DeviceModel` wrapper that injects SAFs after programming.
-
-    The fault map is persistent (a property of the chip), so one wrapper
-    instance reuses its map across programming cycles; variation is
-    still redrawn per cycle by the wrapped model. Because the faults are
-    visible in the post-writing read-back, PWT's compensation applies to
-    them exactly as it does to variation.
-    """
-
-    device: DeviceModel
-    sa0_rate: float = 0.05
-    sa1_rate: float = 0.01
-    rng: RngLike = None
-
-    def __post_init__(self):
-        self._rng = make_rng(self.rng)
-        self._maps = {}
-
-    @property
-    def cells_per_weight(self) -> int:
-        """Physical cells per weight (delegates to the wrapped model)."""
-        return self.device.cells_per_weight
-
-    @property
-    def qmax(self) -> int:
-        """Largest writable integer weight (delegates to the model)."""
-        return self.device.qmax
-
-    def fault_map_for(self, shape: Tuple[int, ...]) -> FaultMap:
-        """The persistent fault map of the region holding ``shape`` cells."""
-        key = tuple(shape)
-        if key not in self._maps:
-            self._maps[key] = sample_fault_map(shape, self.sa0_rate,
-                                               self.sa1_rate, self._rng)
-        return self._maps[key]
-
-    def program_cells(self, values: np.ndarray, rng: RngLike = None,
-                      ddv_theta: Optional[np.ndarray] = None) -> np.ndarray:
-        """Program with variation, then pin the stuck cells.
-
-        ``values`` (..., ) integer weights -> noisy conductances of
-        shape (..., cells_per_weight), with faulty cells pinned.
-        """
-        noisy = self.device.program_cells(values, rng, ddv_theta=ddv_theta)
-        fault_map = self.fault_map_for(noisy.shape)
-        return fault_map.apply(noisy, self.device.cell)
-
-    def program(self, values: np.ndarray, rng: RngLike = None,
-                ddv_theta: Optional[np.ndarray] = None) -> np.ndarray:
-        """Weight-level view of :meth:`program_cells`.
-
-        Returns CRWs with the same shape as ``values``.
-        """
-        from repro.quant.bitslice import assemble_weights
-        cells = self.program_cells(values, rng, ddv_theta=ddv_theta)
-        return assemble_weights(cells, self.device.cell.bits)

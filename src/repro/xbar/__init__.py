@@ -1,4 +1,4 @@
-"""Crossbar simulation: arrays, ADCs, tiling, and the bit-accurate engine."""
+"""Crossbar simulation: arrays, ADCs, tile mapping, and the bit-accurate engine."""
 
 from repro.xbar.adc import ADC
 from repro.xbar.arch import (OneCrossbarScheme, SchemeCost, TwoCrossbarScheme,
@@ -6,10 +6,9 @@ from repro.xbar.arch import (OneCrossbarScheme, SchemeCost, TwoCrossbarScheme,
 from repro.xbar.crossbar import Crossbar
 from repro.xbar.engine import CrossbarEngine
 from repro.xbar.mapper import CrossbarMapper, TileSpec, layer_matrix_shape
-from repro.xbar.tiled import TiledCrossbarEngine
 
 __all__ = [
-    "Crossbar", "ADC", "CrossbarEngine", "TiledCrossbarEngine",
+    "Crossbar", "ADC", "CrossbarEngine",
     "CrossbarMapper", "TileSpec", "layer_matrix_shape",
     "OneCrossbarScheme", "TwoCrossbarScheme", "SchemeCost",
     "normalized_crossbar_number",

@@ -15,11 +15,10 @@ This models the full ISAAC-style datapath of Fig. 1(b) and Fig. 4:
 The engine owns the *semantics* of this pipeline; the arithmetic itself
 is executed by the active compute backend
 (:func:`repro.backend.get_backend` — the loop-based ``reference``
-kernels, the batched ``vectorized`` ones, or the bit-plane-packed
-``accel`` GEMMs with optional numba/torch offload). All
+kernels or the bit-plane-packed ``vectorized`` GEMMs). All
 forward-invariant state (cell tensor, significances, registers,
 complement algebra, and the packed weight/significance tensors the
-accel backend contracts against) is precomputed once at construction
+vectorized backend contracts against) is precomputed once at construction
 into :class:`repro.backend.EngineOperands`, so repeated ``forward``
 calls — and every trial or served request after programming —
 recompute nothing.

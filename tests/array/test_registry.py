@@ -138,14 +138,9 @@ class TestSimArrayContract:
                                    array.vmm(np.ones((2, 6))))
 
     def test_key_components(self):
-        from repro.device.faults import FaultyDeviceModel
-        plain = SimArray(make_device(), 2, 2).key_components()
-        assert plain["array"] == "sim"
-        assert "sa0_rate" not in plain            # no wrapper, no fault keys
-        faulty = SimArray(FaultyDeviceModel(make_device(), 0.1, 0.02, rng=0),
-                          2, 2)
-        comps = faulty.key_components()
-        assert comps["sa0_rate"] == 0.1 and comps["sa1_rate"] == 0.02
+        comps = SimArray(make_device(), 2, 2).key_components()
+        assert comps["array"] == "sim"
+        assert "sa0_rate" not in comps     # faults key via the scenario stack
 
     def test_program_weights_assembles(self):
         array = SimArray(make_device(sigma=0.0), 3, 3)

@@ -1,13 +1,11 @@
-"""Stuck-at-fault model."""
+"""Stuck-at-fault model: fault maps and the ``saf_rates`` sugar."""
 
 import numpy as np
 import pytest
 
 from repro.device.cell import MLC2, SLC, CellType
-from repro.device.faults import (FaultMap, FaultyDeviceModel,
-                                 sample_fault_map)
-from repro.device.lut import DeviceModel
-from repro.device.variation import VariationModel
+from repro.device.faults import FaultMap, sample_fault_map
+from repro.nn.layers import Flatten, Linear, ReLU, Sequential
 from repro.utils.rng import make_rng
 
 
@@ -89,43 +87,65 @@ class TestFaultMap:
         np.testing.assert_array_equal(fm.apply(g, SLC), g)
 
 
-class TestFaultyDeviceModel:
-    def make(self, sa0=0.2, sa1=0.05, sigma=0.0):
-        device = DeviceModel(MLC2, VariationModel(sigma), n_bits=8)
-        return FaultyDeviceModel(device, sa0_rate=sa0, sa1_rate=sa1, rng=0)
+class TestSafRatesSugar:
+    """``saf_rates`` / ``--saf`` is a leading ``stuck_at`` scenario."""
 
-    def test_faults_persistent_across_cycles(self):
-        faulty = self.make(sigma=0.0)
-        v = np.full((16, 16), 128)
-        a = faulty.program_cells(v, rng=1)
-        b = faulty.program_cells(v, rng=2)
-        fm = faulty.fault_map_for(a.shape)
-        # Faulty cells read identically every cycle (no noise here).
-        np.testing.assert_array_equal(a[fm.stuck_at_0], b[fm.stuck_at_0])
+    SAF = (0.2, 0.05)
+    SPEC = "stuck_at:sa0_rate=0.2,sa1_rate=0.05"
 
-    def test_faulty_cells_ignore_programming(self):
-        faulty = self.make(sigma=0.0)
-        lo = faulty.program_cells(np.zeros((8, 8), dtype=int), rng=1)
-        hi = faulty.program_cells(np.full((8, 8), 255), rng=1)
-        fm = faulty.fault_map_for(lo.shape)
-        np.testing.assert_array_equal(lo[fm.stuck_at_1], hi[fm.stuck_at_1])
+    def test_config_moves_rates_onto_the_scenario_stack(self):
+        from dataclasses import replace
 
-    def test_zero_rates_match_clean_device(self):
-        device = DeviceModel(MLC2, VariationModel(0.4), n_bits=8)
-        faulty = FaultyDeviceModel(device, sa0_rate=0.0, sa1_rate=0.0, rng=0)
-        v = np.arange(64).reshape(8, 8)
-        np.testing.assert_array_equal(faulty.program_cells(v, rng=5),
-                                      device.program_cells(v, rng=5))
+        from repro.array.scenarios import (StuckAtScenario,
+                                           parse_scenario_spec)
+        from repro.core import DeployConfig
 
-    def test_weight_level_program(self):
-        faulty = self.make()
-        crw = faulty.program(np.full(100, 200), rng=1)
-        assert crw.shape == (100,)
+        cfg = DeployConfig(saf_rates=self.SAF, scenarios="drift")
+        assert cfg.saf_rates is None
+        assert cfg.scenarios == (StuckAtScenario(0.2, 0.05),
+                                 *parse_scenario_spec("drift"))
+        # Re-normalising must not prepend the scenario a second time.
+        assert replace(cfg).scenarios == cfg.scenarios
+        assert DeployConfig(saf_rates=self.SAF) == \
+            DeployConfig(scenarios=self.SPEC)
 
-    def test_delegated_properties(self):
-        faulty = self.make()
-        assert faulty.cells_per_weight == 4
-        assert faulty.qmax == 255
+    def test_same_shaped_layers_get_independent_fault_maps(
+            self, blob_data):
+        """Fault maps are per region, never shared by cell shape."""
+        from repro.core import DeployConfig, Deployer
+
+        model = Sequential(Flatten(), Linear(64, 16, rng=make_rng(1)),
+                           ReLU(), Linear(16, 16, rng=make_rng(2)), ReLU(),
+                           Linear(16, 16, rng=make_rng(3)), ReLU(),
+                           Linear(16, 4, rng=make_rng(4)))
+        cfg = DeployConfig.from_method("plain", sigma=0.0, cell=MLC2,
+                                       saf_rates=self.SAF)
+        deployer = Deployer(model, blob_data, cfg, rng=0)
+        g_off = MLC2.conductance(np.zeros(1))[0]
+        masks = []
+        for array in deployer.arrays[1:3]:            # both 16x16 layers
+            assert (array.rows, array.cols) == (16, 16)
+            cells = array.program(np.full((16, 16), 255), make_rng(0))
+            masks.append(cells == g_off)              # stuck-at-0 cells
+        assert all(0.1 < m.mean() < 0.3 for m in masks)
+        assert not np.array_equal(masks[0], masks[1])
+
+    def test_saf_rates_equal_stuck_at_scenario(self, trained_tiny_mlp,
+                                               blob_data):
+        """Same serve_program key and bitwise-equal trial accuracies."""
+        from repro.core import DeployConfig, Deployer
+        from repro.serve import serve_program_key
+
+        keys, accuracies = [], []
+        for fields in (dict(saf_rates=self.SAF), dict(scenarios=self.SPEC)):
+            cfg = DeployConfig.from_method("vawo*", sigma=0.5,
+                                           granularity=8, **fields)
+            deployer = Deployer(trained_tiny_mlp, blob_data, cfg, rng=10)
+            keys.append(serve_program_key(deployer, 10, 20))
+            accuracies.append(
+                deployer.evaluate(blob_data, n_trials=2, rng=3).accuracies)
+        assert keys[0] == keys[1]
+        assert accuracies[0] == accuracies[1]
 
 
 class TestDeploymentWithFaults:

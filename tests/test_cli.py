@@ -10,6 +10,7 @@ class TestParsing:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro" in out and "vawo*" in out
+        assert "repro backends" in out
 
     def test_overhead(self, capsys):
         assert main(["overhead", "-m", "16", "128"]) == 0
@@ -22,18 +23,23 @@ class TestParsing:
         out = capsys.readouterr().out
         assert "area" in out
 
-    def test_backends_listing(self, capsys):
+    def test_backends_listing(self, capsys, monkeypatch):
+        import repro.backend as backend
+        from repro.array import default_array_name
+
+        # Independent of the ambient REPRO_BACKEND (the CI reference leg
+        # sets it) and of any process-wide override.
+        monkeypatch.delenv(backend.ENV_VAR, raising=False)
+        monkeypatch.setattr(backend, "_DEFAULT_OVERRIDE", None)
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "compute backends" in out and "array backends" in out
-        for name in ("accel", "reference", "vectorized", "sim"):
+        for name in ("reference", "vectorized", "sim"):
             assert name in out
-        # The always-available default is marked active; accel reports
-        # its resolved offload tier.
-        assert "* vectorized" in out
-        assert "accel" in out and "available (" in out
+        assert f"* {backend.default_backend_name()}" in out
+        assert f"* {default_array_name()}" in out
 
-    def test_backend_flag_accepts_accel(self, capsys, monkeypatch):
+    def test_backend_flag_accepts_reference(self, capsys, monkeypatch):
         import os
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -41,8 +47,8 @@ class TestParsing:
             with pytest.raises(SystemExit):  # bad name still dies at parse
                 main(["deploy", "--backend", "warp-drive"])
             assert main(["experiment", "--name", "table2",
-                         "--backend", "accel"]) == 0
-            assert os.environ.get("REPRO_BACKEND") == "accel"
+                         "--backend", "reference"]) == 0
+            assert os.environ.get("REPRO_BACKEND") == "reference"
         finally:
             # main() exports --backend through the environment; undo it
             # so later tests see the ambient default again.

@@ -10,14 +10,12 @@ from tools.bench_diff import (HISTORY_SCHEMA, SIDECAR_SCHEMA, compare,
 
 
 def write_sidecar(directory, name, elapsed_s, schema=SIDECAR_SCHEMA,
-                  backend=None, offload_tier=None):
+                  backend=None):
     directory.mkdir(parents=True, exist_ok=True)
     payload = {"schema": schema, "name": name, "preset": "quick",
                "elapsed_s": elapsed_s}
     if backend is not None:
         payload["backend"] = backend
-    if offload_tier is not None:
-        payload["offload_tier"] = offload_tier
     (directory / f"{name}.json").write_text(json.dumps(payload))
 
 
@@ -99,38 +97,6 @@ class TestBackendGating:
                       backend="reference")
         assert gate(tmp_path) == 0
         assert "backend-skip" in capsys.readouterr().out
-
-    def test_offload_tier_mismatch_never_regresses(self, tmp_path):
-        # A numba-accelerated baseline must not gate a BLAS-only run
-        # (different environments, not a regression).
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="accel", offload_tier="numba")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="accel", offload_tier="blas")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert comps[0].skipped_backend and not comps[0].regressed
-
-    def test_same_offload_tier_still_gates(self, tmp_path):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="accel", offload_tier="blas")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="accel", offload_tier="blas")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert not comps[0].skipped_backend and comps[0].regressed
-
-    def test_untiered_sidecars_compare_with_tiered(self, tmp_path):
-        # Pre-upgrade sidecars lack offload_tier; they keep gating.
-        write_sidecar(tmp_path / "base", "fig5a", 10.0, backend="accel")
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend="accel", offload_tier="blas")
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert not comps[0].skipped_backend and comps[0].regressed
 
 
 class TestGate:
@@ -237,6 +203,18 @@ class TestTrendGate:
                                   max_slowdown=1.5, min_baseline_s=2.0)
         assert len(verdicts) == 3
         assert not any(v.flagged for v in verdicts)
+
+    def test_legacy_offload_tier_rows_still_load(self, tmp_path):
+        # Rows written while sidecars carried an offload_tier field keep
+        # loading and stay in their (name, preset, backend) series.
+        rows = history_rows([10.0, 11.6, 13.5, 15.7])
+        for row in rows[:2]:
+            row["offload_tier"] = "blas"
+        loaded = load_history(write_history(tmp_path, rows))
+        assert len(loaded) == 4
+        verdicts = trend_verdicts(loaded, window=4, step_ratio=1.02,
+                                  max_slowdown=1.5, min_baseline_s=2.0)
+        assert len(verdicts) == 1 and verdicts[0].flagged
 
     def test_missing_history_passes(self, tmp_path):
         assert run_trend(tmp_path / "absent.jsonl", window=4,

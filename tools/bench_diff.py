@@ -20,12 +20,10 @@ Design points:
 - New benches (no baseline entry) and removed benches (baseline entry
   with no current run) are reported informationally, never fatally.
 - Sidecars are only gated against a baseline recorded on the **same
-  compute backend** (and, for the ``accel`` backend, the same resolved
-  ``offload_tier``): vectorized-vs-reference timings — or BLAS-vs-numba
-  accel timings — differ by orders of magnitude, so a backend or tier
-  switch would read as a huge (and bogus) regression. Mismatched pairs
-  are reported as ``backend-skip``; sidecars predating the ``backend``
-  / ``offload_tier`` fields compare against anything.
+  compute backend**: vectorized-vs-reference timings differ by orders
+  of magnitude, so a backend switch would read as a huge (and bogus)
+  regression. Mismatched pairs are reported as ``backend-skip``;
+  sidecars predating the ``backend`` field compare against anything.
 
 Besides the pairwise gate, ``--trend HISTORY.jsonl`` reads the
 append-only run log ``benchmarks/_common.py`` maintains
@@ -69,7 +67,6 @@ class BenchEntry:
     elapsed_s: float
     preset: str
     backend: Optional[str]
-    offload_tier: Optional[str]
     path: Path
 
 
@@ -112,32 +109,23 @@ def load_sidecars(directory: Path) -> Dict[str, BenchEntry]:
                   file=sys.stderr)
             continue
         backend = payload.get("backend")
-        tier = payload.get("offload_tier")
         entries[name] = BenchEntry(
             name=name, elapsed_s=float(elapsed),
             preset=str(payload.get("preset", "?")),
             backend=str(backend) if isinstance(backend, str) else None,
-            offload_tier=str(tier) if isinstance(tier, str) else None,
             path=path)
     return entries
 
 
 def _backends_comparable(baseline: BenchEntry, current: BenchEntry) -> bool:
-    """Whether two sidecars were recorded on the same compute backend
-    and (when the accel backend tags one) the same offload tier.
+    """Whether two sidecars were recorded on the same compute backend.
 
-    Sidecars written before the ``backend`` / ``offload_tier`` fields
-    existed (``None``) are comparable with anything — a missing tag
-    must not silently drop every comparison after an upgrade.
+    Sidecars written before the ``backend`` field existed (``None``)
+    are comparable with anything — a missing tag must not silently drop
+    every comparison after an upgrade.
     """
-    if baseline.backend is not None and current.backend is not None \
-            and baseline.backend != current.backend:
-        return False
-    if baseline.offload_tier is not None \
-            and current.offload_tier is not None \
-            and baseline.offload_tier != current.offload_tier:
-        return False
-    return True
+    return baseline.backend is None or current.backend is None \
+        or baseline.backend == current.backend
 
 
 def compare(baseline: Dict[str, BenchEntry],
@@ -242,7 +230,6 @@ class TrendVerdict:
     name: str
     preset: str
     backend: Optional[str]
-    offload_tier: Optional[str]
     window: List[float]          # elapsed_s, oldest first
     shas: List[Optional[str]]
     flagged: bool
@@ -283,9 +270,8 @@ def trend_verdicts(rows: List[dict], window: int, step_ratio: float,
                    min_baseline_s: float) -> List[TrendVerdict]:
     """Per-series drift verdicts over each series' trailing window.
 
-    A series is one ``(name, preset, backend, offload_tier)`` group —
-    a preset, backend or accel-offload-tier switch must not read as a
-    slowdown. A series is flagged
+    A series is one ``(name, preset, backend)`` group — a preset or
+    backend switch must not read as a slowdown. A series is flagged
     when its last ``window`` runs each slowed by at least
     ``step_ratio`` *and* the cumulative first→last drift exceeds
     ``max_slowdown`` — exactly the creep the pairwise gate is blind to.
@@ -294,11 +280,10 @@ def trend_verdicts(rows: List[dict], window: int, step_ratio: float,
     """
     groups: Dict[tuple, List[dict]] = {}
     for row in rows:
-        key = (row["name"], row.get("preset"), row.get("backend"),
-               row.get("offload_tier"))
+        key = (row["name"], row.get("preset"), row.get("backend"))
         groups.setdefault(key, []).append(row)
     verdicts: List[TrendVerdict] = []
-    for (name, preset, backend, tier), series in sorted(
+    for (name, preset, backend), series in sorted(
             groups.items(), key=lambda kv: kv[0][0]):
         series.sort(key=lambda r: r.get("created_unix", 0.0))
         tail = series[-window:]
@@ -314,7 +299,7 @@ def trend_verdicts(rows: List[dict], window: int, step_ratio: float,
             flagged = steps_up and cumulative > max_slowdown
         verdicts.append(TrendVerdict(
             name=name, preset=str(preset), backend=backend,
-            offload_tier=tier, window=elapsed, shas=shas, flagged=flagged,
+            window=elapsed, shas=shas, flagged=flagged,
             skipped_short=skipped_short))
     return verdicts
 
@@ -346,10 +331,7 @@ def run_trend(history_path: Path, window: int, step_ratio: float,
         shape = " -> ".join(f"{e:.2f}s" for e in v.window)
         flag = "TRENDING UP" if v.flagged else \
             ("short-skip" if v.skipped_short else "ok")
-        label = v.backend or "?"
-        if v.offload_tier:
-            label += f"+{v.offload_tier}"
-        print(f"  {v.name:<20}[{v.preset}/{label}] "
+        print(f"  {v.name:<20}[{v.preset}/{v.backend or '?'}] "
               f"{shape}  ({v.cumulative:.2f}x)  {flag}", file=out)
         if v.flagged:
             print(f"  {'':<20}shas: "
