@@ -3,33 +3,30 @@
 An :class:`ArrayBackend` is one physical (or simulated) RRAM array
 holding the cells of a single weight matrix: ``cells_per_weight``
 physical columns per weight column, one wordline per matrix row. The
-interface is deliberately small — exactly the operations a real array
-driver could implement:
+interface is deliberately small — exactly the operations the deployer
+needs from an array:
 
 * :meth:`ArrayBackend.program` — write integer weight values (one
   programming cycle; simulators redraw their cycle-to-cycle noise);
 * :meth:`ArrayBackend.load_cells` — overwrite the raw cell image (used
-  by scenario transforms and state restoration);
+  by scenario transforms);
 * :meth:`ArrayBackend.read_back` — measure the current per-cell
   conductances (what PWT's post-writing read-back consumes);
-* :meth:`ArrayBackend.vmm` / :meth:`ArrayBackend.vmm_grouped` — analog
-  Kirchhoff-law column currents for a wordline drive vector;
 * :meth:`ArrayBackend.key_components` — the declared
   capability/metadata dict that content-addressed cache keys fold in,
   so two arrays share artifacts exactly when their physics agree.
 
-Concrete implementations are selected through the registry in
-:mod:`repro.array` (``REPRO_ARRAY`` / ``--array``), mirroring
-:mod:`repro.backend`. The lognormal simulator extracted from the
-original pipeline is :class:`repro.array.sim.SimArray`; composable
-non-ideality transforms wrap any backend via
-:class:`repro.array.scenarios.ScenarioArray`.
+The one concrete array is the lognormal simulator
+:class:`repro.array.sim.SimArray`; composable non-ideality transforms
+wrap it via :class:`repro.array.scenarios.ScenarioArray`. Analog
+compute over the programmed cells is the crossbar engine's job
+(:mod:`repro.xbar.engine`), not the array's.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, ClassVar, Dict, Optional
+from typing import Any, ClassVar, Dict
 
 import numpy as np
 
@@ -43,13 +40,14 @@ class ArrayBackend(abc.ABC):
 
     State contract: an array is created unprogrammed; :meth:`program`
     (or :meth:`load_cells`) installs a cell image of shape
-    ``(rows, cols, cells_per_weight)`` which :meth:`read_back`,
-    :meth:`vmm` and :meth:`vmm_grouped` then observe. Instances persist
-    across programming cycles, so chip-persistent non-idealities (fault
-    maps, per-device coefficients) live in the array, not the caller.
+    ``(rows, cols, cells_per_weight)`` which :meth:`read_back` then
+    observes. Instances persist across programming cycles, so
+    chip-persistent non-idealities (fault maps, per-device
+    coefficients) live in the array, not the caller.
     """
 
-    #: Registry name of the backend family (e.g. ``"sim"``).
+    #: Name of the array implementation (e.g. ``"sim"``), folded into
+    #: :meth:`key_components`.
     name: ClassVar[str] = "abstract"
 
     # ------------------------------------------------------------------
@@ -94,7 +92,7 @@ class ArrayBackend(abc.ABC):
 
         This is the scenario engine's injection point: transforms
         observe :meth:`program`'s output, perturb it, and store the
-        perturbed image back so every later read/VMM sees it.
+        perturbed image back so every later read-back sees it.
         """
 
     @abc.abstractmethod
@@ -103,29 +101,6 @@ class ArrayBackend(abc.ABC):
 
         Returns shape (rows, cols, cells_per_weight); raises
         ``RuntimeError`` if the array was never programmed.
-        """
-
-    # ------------------------------------------------------------------
-    # analog compute
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def vmm(self, x: np.ndarray,
-            active_rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Physical column currents for drive vector(s) ``x``.
-
-        ``x`` has shape (..., rows); returns (..., cols * n_cells) —
-        one current per physical bitline (cell column), in cell order
-        within each weight. ``active_rows`` (boolean mask or index
-        array) silences the other wordlines.
-        """
-
-    @abc.abstractmethod
-    def vmm_grouped(self, x: np.ndarray, group_rows: int) -> np.ndarray:
-        """Per-activation-group partial currents.
-
-        ``x`` has shape (..., rows); returns
-        (..., n_groups, cols * n_cells) — the per-cycle partial sums
-        the digital-offset adder trees consume (paper Section III-A).
         """
 
     # ------------------------------------------------------------------
@@ -143,22 +118,6 @@ class ArrayBackend(abc.ABC):
         (scalars, strings, nested tuples/dicts) — never raw arrays of
         programmed state.
         """
-
-    # ------------------------------------------------------------------
-    # conveniences shared by all backends
-    # ------------------------------------------------------------------
-    def program_weights(self, values: np.ndarray,
-                        rng: RngLike = None) -> np.ndarray:
-        """Weight-level view of :meth:`program`.
-
-        Programs one cycle and reassembles the noisy cells into
-        crossbar real weights — returns shape (rows, cols). This is
-        the interface iterative write-and-verify programming drives.
-        """
-        from repro.quant.bitslice import assemble_weights
-
-        cells = self.program(values, rng)
-        return assemble_weights(cells, self.cell.bits)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(rows={self.rows}, cols={self.cols}, "

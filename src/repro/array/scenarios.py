@@ -1,4 +1,4 @@
-"""Composable non-ideality scenarios over any :class:`ArrayBackend`.
+"""Composable non-ideality scenarios over an :class:`ArrayBackend`.
 
 A *scenario* is one stackable device/environment non-ideality — stuck-at
 fault maps (:mod:`repro.device.faults`; the library's only stuck-at
@@ -38,14 +38,14 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import (Any, ClassVar, Dict, List, Optional, Sequence, Tuple,
-                    Type, Union)
+from typing import Any, ClassVar, Dict, List, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from repro.array.base import ArrayBackend
 from repro.device.cell import CellType
-from repro.device.faults import FaultMap, sample_fault_map
+from repro.device.faults import (FaultMap, check_fault_rates,
+                                 sample_fault_map)
 from repro.device.variation import sample_temperature_coefficients
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import RngLike, SeedLike, make_rng, spawn_seeds
@@ -115,6 +115,11 @@ class StuckAtScenario(Scenario):
     sa0_rate: float = 0.05
     sa1_rate: float = 0.01
 
+    def __post_init__(self):
+        # Checked when the spec is parsed, not at the first programming
+        # cycle (after training and VAWO).
+        check_fault_rates(self.sa0_rate, self.sa1_rate)
+
     def init_state(self, shape: Tuple[int, ...], cell: CellType,
                    rng: np.random.Generator) -> FaultMap:
         """The region's persistent fault map (drawn once per chip)."""
@@ -142,6 +147,10 @@ class TempCoefficientScenario(Scenario):
     t_ref: float = 300.0            # characterisation temperature [K]
     alpha_mean: float = -1.5e-3     # mean coefficient [1/K]
     alpha_std: float = 5e-4         # device-to-device spread [1/K]
+
+    def __post_init__(self):
+        if self.alpha_std < 0:
+            raise ValueError("alpha_std must be non-negative")
 
     def init_state(self, shape: Tuple[int, ...], cell: CellType,
                    rng: np.random.Generator) -> np.ndarray:
@@ -331,7 +340,7 @@ class ScenarioArray(ArrayBackend):
     Wraps ``inner``: every :meth:`program` first programs the inner
     array, then replays the scenario transforms over the fresh cell
     image and stores the result back via ``inner.load_cells`` — so
-    read-back, VMM and PWT's compensation all observe the perturbed
+    read-back, and with it PWT's compensation, observes the perturbed
     chip, exactly as on real hardware. ``seed`` feeds one dedicated
     persistent-state stream per scenario (chip state is fixed across
     programming cycles and independent of the per-trial rng).
@@ -413,18 +422,6 @@ class ScenarioArray(ArrayBackend):
     def read_back(self) -> np.ndarray:
         """The current (scenario-perturbed) cell conductances."""
         return self.inner.read_back()
-
-    # ------------------------------------------------------------------
-    # analog compute (delegated — state already holds the perturbation)
-    # ------------------------------------------------------------------
-    def vmm(self, x: np.ndarray,
-            active_rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Bitline currents over the perturbed state (delegated)."""
-        return self.inner.vmm(x, active_rows)
-
-    def vmm_grouped(self, x: np.ndarray, group_rows: int) -> np.ndarray:
-        """Per-group partial currents over the perturbed state (delegated)."""
-        return self.inner.vmm_grouped(x, group_rows)
 
     # ------------------------------------------------------------------
     # identity / cache keying

@@ -1,6 +1,8 @@
 """The lognormal crossbar-array simulator behind the HAL.
 
-:class:`SimArray` is the original pipeline's device physics — a
+:class:`SimArray` is the library's one array implementation — the
+deployer builds one per deployed layer. It is the original pipeline's
+device physics — a
 :class:`repro.device.lut.DeviceModel` (lognormal DDV/CCV, finite ON/OFF
 ratio, bit-sliced cells) — re-packaged as an
 :class:`repro.array.base.ArrayBackend`. Stuck-at faults and the other
@@ -10,11 +12,6 @@ over it, not part of the simulator. Programming delegates to
 sequence is *identical* to calling the device model directly: the
 bit-parity guarantee of the refactor holds by construction, not by
 luck (verified in ``tests/array/test_equivalence.py``).
-
-Analog reads route through a lazily-built
-:class:`repro.xbar.crossbar.Crossbar` whose bitlines are the flattened
-physical cell columns (``cols * cells_per_weight`` of them, cell-major
-within each weight).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.device.cell import CellType
 from repro.device.lut import DeviceModel, device_key_components
 from repro.obs import metrics as obs_metrics
 from repro.utils.rng import RngLike
-from repro.xbar.crossbar import Crossbar
 
 __all__ = ["SimArray"]
 
@@ -54,7 +50,6 @@ class SimArray(ArrayBackend):
         self._rows = int(rows)
         self._cols = int(cols)
         self._cells: Optional[np.ndarray] = None
-        self._xbar: Optional[Crossbar] = None
 
     # ------------------------------------------------------------------
     # geometry
@@ -104,13 +99,12 @@ class SimArray(ArrayBackend):
         self._set_cells(np.asarray(cells, dtype=np.float64))
 
     def _set_cells(self, cells: np.ndarray) -> None:
-        """Install ``cells`` as current state; invalidates the VMM xbar."""
+        """Install ``cells`` as the current state (shape-checked)."""
         expected = (self._rows, self._cols, self.cells_per_weight)
         if cells.shape != expected:
             raise ValueError(
                 f"expected cells of shape {expected}, got {cells.shape}")
         self._cells = cells
-        self._xbar = None               # rebuilt lazily on the next vmm
 
     def read_back(self) -> np.ndarray:
         """The current cell conductances (rows, cols, cells_per_weight)."""
@@ -119,34 +113,12 @@ class SimArray(ArrayBackend):
         return self._cells
 
     # ------------------------------------------------------------------
-    # analog compute
-    # ------------------------------------------------------------------
-    def _crossbar(self) -> Crossbar:
-        """The physical-bitline view: (rows, cols * n_cells) crossbar."""
-        if self._xbar is None:
-            cells = self.read_back()
-            xbar = Crossbar(self._rows, self._cols * self.cells_per_weight)
-            xbar.write(cells.reshape(self._rows, -1))
-            self._xbar = xbar
-        return self._xbar
-
-    def vmm(self, x: np.ndarray,
-            active_rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Bitline currents: x (..., rows) -> (..., cols * n_cells)."""
-        return self._crossbar().vmm(x, active_rows)
-
-    def vmm_grouped(self, x: np.ndarray, group_rows: int) -> np.ndarray:
-        """Per-group partials: x (..., rows) -> (..., n_groups, cols * n_cells)."""
-        return self._crossbar().vmm_grouped(x, group_rows)
-
-    # ------------------------------------------------------------------
     # identity / cache keying
     # ------------------------------------------------------------------
     def key_components(self) -> Dict[str, Any]:
-        """Backend name + every device parameter that shapes the physics.
+        """Array name + every device parameter that shapes the physics.
 
-        Flat scalar dict (nested under ``array_components`` in serve
-        keys).
+        Flat scalar dict, folded into ``serve_program`` keys.
         """
         components: Dict[str, Any] = {"array": self.name}
         components.update(device_key_components(self.device))

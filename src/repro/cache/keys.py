@@ -37,13 +37,15 @@ STAGE_VERSIONS: Mapping[str, int] = {
     "calibrate": 1,     # per-layer input activation peaks (core.pipeline)
     "gradients": 1,     # per-weight gradient RMS estimates (core.pipeline)
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 4,  # programmed deployments (serve.registry);
+    "serve_program": 5,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v3: key folds the backend's cache_tag
                          # v4: cache_tag and saf_rates left the key —
                          # the backend name keys it, and --saf arrives
                          # as a leading stuck_at scenario
+                         # v5: the array's key_components folded once
+                         # (no duplicate device/scenario fields)
 
 }
 

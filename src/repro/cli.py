@@ -29,12 +29,12 @@ workers follow the same policy.
 programming-cycle trials across worker processes (``0`` = one per
 core); results are bit-identical to a serial run at the same seed.
 
-``--array``/``--scenarios`` (on ``deploy``/``serve``/``experiment``)
-select the crossbar hardware-abstraction family (``repro.array``) and
-stack composable non-idealities on top of it (stuck-at faults,
-temperature coefficients, conductance drift, extra program noise).
-The default ``sim`` array with no scenarios is bit-identical to the
-pre-HAL pipeline.
+``--scenarios`` (on ``deploy``/``serve``/``experiment``) stacks
+composable non-idealities (stuck-at faults, temperature coefficients,
+conductance drift, extra program noise) on the simulated crossbar
+arrays (``repro.array``); ``--saf SA0 SA1`` is sugar for a leading
+stuck-at scenario. Both are validated before any training starts. With
+no scenarios the arrays are bit-identical to the pre-HAL pipeline.
 
 ``serve`` starts a long-lived inference server over a programmed
 deployment (see ``repro.serve``): requests are micro-batched through
@@ -96,11 +96,7 @@ def _add_backend_arg(p: argparse.ArgumentParser) -> None:
                         "numerically interchangeable")
 
 
-def _add_array_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--array", default=None, metavar="NAME",
-                   help="crossbar array family (e.g. sim); default: "
-                        "$REPRO_ARRAY or sim. The default family with no "
-                        "scenarios is bit-identical to the classic path")
+def _add_scenarios_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenarios", default=None, metavar="SPEC",
                    help="non-ideality scenario stack, e.g. "
                         "'stuck_at:sa0_rate=0.05,sa1_rate=0.01;"
@@ -150,7 +146,7 @@ def _add_deploy(sub: argparse._SubParsersAction) -> None:
                    help="stuck-at fault rates (sugar for a leading "
                         "'stuck_at:sa0_rate=SA0,sa1_rate=SA1' scenario)")
     _add_jobs_arg(p)
-    _add_array_args(p)
+    _add_scenarios_arg(p)
     _add_cache_args(p)
     _add_backend_arg(p)
     _add_profile_args(p)
@@ -194,7 +190,7 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="default per-request deadline; expired requests "
                         "get a 504-style error (default: none)")
-    _add_array_args(p)
+    _add_scenarios_arg(p)
     _add_cache_args(p)
     _add_backend_arg(p)
     _add_profile_args(p)
@@ -208,7 +204,7 @@ def _add_experiment(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--preset", default="quick", choices=["quick", "full"])
     p.add_argument("--trials", type=int, default=2)
     _add_jobs_arg(p)
-    _add_array_args(p)
+    _add_scenarios_arg(p)
     _add_cache_args(p)
     _add_backend_arg(p)
     _add_profile_args(p)
@@ -345,7 +341,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         args.method, sigma=args.sigma, granularity=args.granularity,
         cell=cell, pwt=_default_pwt(args.preset), bn_recalibrate=True,
         saf_rates=tuple(args.saf) if args.saf else None,
-        array=args.array, scenarios=args.scenarios)
+        scenarios=args.scenarios)
     deployer = Deployer(wl.model, wl.train, config, rng=args.seed + 10)
     ideal = ideal_accuracy(deployer, wl.test)
     result = evaluate_deployment(deployer, wl.test, n_trials=args.trials,
@@ -380,7 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sigma=args.sigma, granularity=args.granularity,
         cell_bits=args.cell_bits, seed=args.seed,
         saf_rates=tuple(args.saf) if args.saf else None,
-        array=args.array, scenarios=args.scenarios,
+        scenarios=args.scenarios,
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit, deadline_ms=args.deadline_ms)
     service = InferenceService(config)
@@ -441,7 +437,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     elif args.name == "scenarios":
         for s_row in ex.run_scenario_matrix(
                 preset=args.preset, n_trials=args.trials, jobs=args.jobs,
-                array=args.array, scenarios=args.scenarios):
+                scenarios=args.scenarios):
             _echo(f"{s_row.method:<10} scenario={s_row.scenario:<12} "
                   f"acc {s_row.mean_accuracy:.2%} "
                   f"(drop {s_row.accuracy_drop:+.2%} vs clean)")
@@ -518,16 +514,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.array import available_arrays, default_array_name
     from repro.backend import available_backends, default_backend_name
-    for title, names, active in (
-            ("compute backends (REPRO_BACKEND / --backend):",
-             available_backends(), default_backend_name()),
-            ("array backends (REPRO_ARRAY / --array):",
-             available_arrays(), default_array_name())):
-        _echo(title)
-        for name in names:
-            _echo(f"{'*' if name == active else ' '} {name}")
+    active = default_backend_name()
+    _echo("compute backends (REPRO_BACKEND / --backend):")
+    for name in available_backends():
+        _echo(f"{'*' if name == active else ' '} {name}")
     return 0
 
 
@@ -544,7 +535,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
           "(repro.parallel, bit-identical to serial)")
     _echo("serving:       repro serve (micro-batched, bitwise-"
           "reproducible; registry warm starts via the artifact cache)")
-    _echo("backends:      see 'repro backends' (compute kernels and arrays)")
+    _echo("backends:      see 'repro backends' (compute kernels)")
     from repro.array.scenarios import available_scenarios
     _echo(f"scenarios:     {', '.join(available_scenarios())} "
           "(--scenarios 'name:param=value;…' on deploy/serve)")
@@ -567,7 +558,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_obs(sub)
     sub.add_parser("info", help="library and environment information")
     sub.add_parser("backends",
-                   help="list compute/array backends, marking the active ones")
+                   help="list compute backends, marking the active one")
 
     args = parser.parse_args(argv)
     backend = getattr(args, "backend", None)
@@ -579,15 +570,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Exported through the environment (not set_default_backend) so
         # --jobs worker processes inherit the same kernel set.
         os.environ["REPRO_BACKEND"] = backend
-    array = getattr(args, "array", None)
-    if array is not None:
-        from repro.array import available_arrays
-        if array not in available_arrays():
-            parser.error(f"unknown array {array!r} "
-                         f"(registered: {', '.join(available_arrays())})")
-        # Same env-export pattern as --backend: --jobs workers resolve
-        # the same HAL family when they build arrays themselves.
-        os.environ["REPRO_ARRAY"] = array
+    # Scenario specs and --saf rates fail here, with exit 2, rather than
+    # at the first programming cycle after training and VAWO.
     scenarios = getattr(args, "scenarios", None)
     if scenarios is not None:
         from repro.array.scenarios import parse_scenario_spec
@@ -595,6 +579,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             parse_scenario_spec(scenarios)
         except ValueError as exc:
             parser.error(f"bad --scenarios spec: {exc}")
+    saf = getattr(args, "saf", None)
+    if saf is not None:
+        from repro.array.scenarios import StuckAtScenario
+        try:
+            StuckAtScenario(*saf)
+        except ValueError as exc:
+            parser.error(f"bad --saf rates: {exc}")
     if getattr(args, "no_cache", False) and getattr(args, "cache_dir", None):
         parser.error("--no-cache and --cache-dir are mutually exclusive")
     if getattr(args, "no_cache", False):

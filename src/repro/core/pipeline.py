@@ -32,10 +32,9 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.eval.accuracy import TrialResult
 
-from repro.array import ArrayBackend, default_array_name, get_array
-from repro.array.scenarios import (ScenarioArray, ScenarioSpec,
-                                   StuckAtScenario, parse_scenario_spec,
-                                   scenario_key_components)
+from repro.array import ArrayBackend, ScenarioArray, SimArray
+from repro.array.scenarios import (ScenarioSpec, StuckAtScenario,
+                                   parse_scenario_spec)
 from repro.backend import default_backend_name
 from repro.cache import (CacheStore, active_store, digest_array,
                          digest_arrays, stage_key)
@@ -92,13 +91,10 @@ class DeployConfig:
     # for a leading ``stuck_at`` scenario: __post_init__ moves it onto
     # the scenario stack and resets this field to None.
     saf_rates: Optional[Tuple[float, float]] = None
-    # Which registered array family programs the crossbars (None =
-    # process default: --array / REPRO_ARRAY / "sim") and which
-    # non-ideality scenario stack wraps it — a spec string
-    # ("stuck_at:sa0_rate=0.05;drift:t_seconds=1e4"), a parsed
-    # Scenario sequence, or per-scenario dicts. Empty = bare array,
-    # which is bit-identical to the pre-HAL pipeline.
-    array: Optional[str] = None
+    # The non-ideality scenario stack that wraps every layer's SimArray
+    # — a spec string ("stuck_at:sa0_rate=0.05;drift:t_seconds=1e4"),
+    # a parsed Scenario sequence, or per-scenario dicts. Empty = bare
+    # array, which is bit-identical to the pre-HAL pipeline.
     scenarios: ScenarioSpec = None
     pwt: PWTConfig = field(default_factory=PWTConfig)
 
@@ -263,9 +259,6 @@ class Deployer:
         # stream (and every downstream draw) bit-identical to pre-HAL.
         self._scenario_seed = (derive_seed(self._rng)
                                if config.scenarios else None)
-        self.array_name = (config.array if config.array is not None
-                           else default_array_name())
-        get_array(self.array_name)       # unknown names fail at build time
         self.lut = self._build_lut()
         self.layers: List[LayerPrep] = self._prepare_layers()
         self._calibrate_inputs()
@@ -509,36 +502,21 @@ class Deployer:
     # programming / deployment
     # ------------------------------------------------------------------
     def _build_arrays(self) -> List[ArrayBackend]:
-        """One array region per layer, built by the selected family.
+        """One :class:`SimArray` region per layer, over the deployer's
+        lognormal device model and the layer's matrix shape.
 
-        The factory receives the deployer's lognormal device model and
-        the layer's matrix shape; a configured scenario stack wraps every
-        region in a :class:`ScenarioArray` with its own persistent-state
-        stream (one ``SeedSequence`` child per layer).
+        A configured scenario stack wraps every region in a
+        :class:`ScenarioArray` with its own persistent-state stream (one
+        ``SeedSequence`` child per layer).
         """
-        factory = get_array(self.array_name)
         arrays: List[ArrayBackend] = [
-            factory(self.device, prep.plan.rows, prep.plan.cols)
+            SimArray(self.device, prep.plan.rows, prep.plan.cols)
             for prep in self.layers]
         if self.config.scenarios:
             seeds = spawn_seeds(self._scenario_seed, len(arrays))
             arrays = [ScenarioArray(inner, self.config.scenarios, seed)
                       for inner, seed in zip(arrays, seeds)]
         return arrays
-
-    def array_key_components(self) -> Dict[str, Any]:
-        """The array/scenario identity that shapes programmed state.
-
-        The declared capability dict of the (representative) first
-        layer's array — all layers share one family and stack — plus
-        the full scenario parameters; folded into ``serve_program``
-        content-addressed keys. Flat scalars and nested dicts only.
-        """
-        return {
-            "array": self.array_name,
-            "array_components": dict(self.arrays[0].key_components()),
-            "scenarios": scenario_key_components(self.config.scenarios),
-        }
 
     def _build_deployed(self, cells_per_layer: List[np.ndarray],
                         arrays: Optional[List[ArrayBackend]] = None,

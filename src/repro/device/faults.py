@@ -76,11 +76,16 @@ class FaultMap:
         return out
 
 
+def check_fault_rates(sa0_rate: float, sa1_rate: float) -> None:
+    """Raise ``ValueError`` unless the rates are non-negative, sum <= 1."""
+    if sa0_rate < 0 or sa1_rate < 0 or sa0_rate + sa1_rate > 1:
+        raise ValueError("fault rates must be non-negative and sum <= 1")
+
+
 def sample_fault_map(shape: Tuple[int, ...], sa0_rate: float,
                      sa1_rate: float, rng: RngLike = None) -> FaultMap:
     """Draw a random persistent fault map for a cell array."""
-    if sa0_rate < 0 or sa1_rate < 0 or sa0_rate + sa1_rate > 1:
-        raise ValueError("fault rates must be non-negative and sum <= 1")
+    check_fault_rates(sa0_rate, sa1_rate)
     rng = make_rng(rng)
     u = rng.random(shape)
     return FaultMap(stuck_at_0=u < sa0_rate,

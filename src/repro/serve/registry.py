@@ -32,7 +32,6 @@ from repro.cache import CacheStore, active_store, digest_array, digest_arrays
 from repro.cache.keys import stage_key
 from repro.core.pipeline import Deployer
 from repro.core.pwt import crossbar_modules
-from repro.device.lut import device_key_components
 from repro.nn.module import Module
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -72,17 +71,18 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
 
     Folds in every input the programmed state depends on: the float
     model weights, the train set (BatchNorm recalibration and PWT read
-    it), the device physics, the array family's declared capability
-    dict and the scenario-stack parameters (the HAL inputs — two runs
-    share programmed state only when the array would reproduce it),
-    all deployment config fields (stuck-at faults, including ``--saf``
-    sugar, arrive through the scenario stack), the kernel backend's
-    name, and the seeds of both the deployer's preparation stream and
-    the programming cycle itself.
+    it), the array's declared capability dict — device physics plus
+    the scenario-stack parameters, so two runs share programmed state
+    only when the array would reproduce it (stuck-at faults, including
+    ``--saf`` sugar, arrive through the scenario stack) — all
+    deployment config fields, the kernel backend's name, and the seeds
+    of both the deployer's preparation stream and the programming cycle
+    itself.
     """
     cfg = deployer.config
-    components: Dict[str, Any] = dict(device_key_components(deployer.device))
-    components.update(deployer.array_key_components())
+    # Every layer's array shares one device model and scenario stack,
+    # so the first one names the physics of all of them.
+    components: Dict[str, Any] = dict(deployer.arrays[0].key_components())
     components.update(
         model_state=digest_arrays(deployer.model.state_dict()),
         train_images=digest_array(deployer.train_data.images),

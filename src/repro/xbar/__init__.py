@@ -1,14 +1,17 @@
-"""Crossbar simulation: arrays, ADCs, tile mapping, and the bit-accurate engine."""
+"""Crossbar simulation: ADCs, tile mapping, and the bit-accurate engine.
+
+The programmed cell state itself lives on the array HAL
+(:mod:`repro.array`); this package turns a cell image into outputs.
+"""
 
 from repro.xbar.adc import ADC
 from repro.xbar.arch import (OneCrossbarScheme, SchemeCost, TwoCrossbarScheme,
                              normalized_crossbar_number)
-from repro.xbar.crossbar import Crossbar
 from repro.xbar.engine import CrossbarEngine
 from repro.xbar.mapper import CrossbarMapper, TileSpec, layer_matrix_shape
 
 __all__ = [
-    "Crossbar", "ADC", "CrossbarEngine",
+    "ADC", "CrossbarEngine",
     "CrossbarMapper", "TileSpec", "layer_matrix_shape",
     "OneCrossbarScheme", "TwoCrossbarScheme", "SchemeCost",
     "normalized_crossbar_number",

@@ -109,6 +109,13 @@ class TestSafRatesSugar:
         assert DeployConfig(saf_rates=self.SAF) == \
             DeployConfig(scenarios=self.SPEC)
 
+    @pytest.mark.parametrize("rates", [(1.5, 0.0), (-0.1, 0.0), (0.7, 0.6)])
+    def test_config_rejects_bad_rates(self, rates):
+        from repro.core import DeployConfig
+
+        with pytest.raises(ValueError, match="non-negative"):
+            DeployConfig(saf_rates=rates)
+
     def test_same_shaped_layers_get_independent_fault_maps(
             self, blob_data):
         """Fault maps are per region, never shared by cell shape."""

@@ -40,12 +40,16 @@ class TestKey:
         assert serve_program_key(d, 10, 7) != serve_program_key(d, 10, 8)
 
     def test_key_tracks_config(self, tiny_workload):
+        from repro.device.cell import MLC2
+
         seed = spawn_seeds(20, 1)[0]
-        a = serve_program_key(_deployer(tiny_workload), 10, seed)
-        b = serve_program_key(_deployer(tiny_workload, sigma=0.4), 10, seed)
-        c = serve_program_key(_deployer(tiny_workload, granularity=4),
-                              10, seed)
-        assert len({a, b, c}) == 3
+        variants = [{}, dict(sigma=0.4), dict(granularity=4),
+                    dict(cell=MLC2),
+                    dict(scenarios="drift:t_seconds=50"),
+                    dict(scenarios="drift:t_seconds=60")]
+        keys = {serve_program_key(_deployer(tiny_workload, **kw), 10, seed)
+                for kw in variants}
+        assert len(keys) == len(variants)
 
 
 class TestBackendKey:

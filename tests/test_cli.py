@@ -25,7 +25,6 @@ class TestParsing:
 
     def test_backends_listing(self, capsys, monkeypatch):
         import repro.backend as backend
-        from repro.array import default_array_name
 
         # Independent of the ambient REPRO_BACKEND (the CI reference leg
         # sets it) and of any process-wide override.
@@ -33,11 +32,10 @@ class TestParsing:
         monkeypatch.setattr(backend, "_DEFAULT_OVERRIDE", None)
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "compute backends" in out and "array backends" in out
-        for name in ("reference", "vectorized", "sim"):
+        assert "compute backends" in out
+        for name in ("reference", "vectorized"):
             assert name in out
         assert f"* {backend.default_backend_name()}" in out
-        assert f"* {default_array_name()}" in out
 
     def test_backend_flag_accepts_reference(self, capsys, monkeypatch):
         import os
@@ -54,6 +52,25 @@ class TestParsing:
             # so later tests see the ambient default again.
             os.environ.pop("REPRO_BACKEND", None)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["deploy", "--saf", "1.5", "0"],
+        ["deploy", "--saf", "-0.1", "0"],
+        ["serve", "--saf", "0.7", "0.6"],
+        ["deploy", "--scenarios", "stuck_at:sa0_rate=1.5"],
+        ["deploy", "--scenarios", "temperature:alpha_std=-1"],
+    ], ids=["saf-over-1", "saf-negative", "serve-saf-sum",
+            "scenario-stuck-at", "scenario-temperature"])
+    def test_bad_fault_rates_exit_2_before_training(self, argv, monkeypatch):
+        import repro.eval.experiments as ex
+
+        def no_workload(*args, **kwargs):
+            raise AssertionError("a workload was built before validation")
+
+        monkeypatch.setattr(ex, "build_workload", no_workload)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
