@@ -16,10 +16,7 @@ The ``REPRO_BENCH_PRESET`` environment variable selects the workload
 scale: ``quick`` (default — minutes, the sizes CI runs) or ``full``
 (the sizes EXPERIMENTS.md reports). ``REPRO_BENCH_JOBS`` selects the
 parallel trial worker count (``0`` = one per core; results are
-bit-identical across worker counts). ``REPRO_BACKEND`` selects the
-compute backend the kernels dispatch to (``vectorized`` by default;
-every backend is numerically interchangeable, so this too only moves
-wall-clock time) — the active name is recorded in every sidecar.
+bit-identical across worker counts).
 """
 
 from __future__ import annotations
@@ -79,18 +76,6 @@ def jobs() -> int:
     return parsed
 
 
-def backend() -> str:
-    """The compute backend the benched kernels dispatch to.
-
-    Resolved through the :mod:`repro.backend` registry (override, then
-    ``REPRO_BACKEND``, then the built-in default), so sidecars record
-    which kernel set produced their timings.
-    """
-    from repro.backend import default_backend_name
-
-    return default_backend_name()
-
-
 def _jsonable(value):
     """Coerce dataclasses (rows) and mappings into JSON-able structures."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -126,7 +111,6 @@ def report(name: str, lines, data=None, elapsed_s=None) -> str:
         "preset": preset(),
         "trials": trials(),
         "jobs": jobs(),
-        "backend": backend(),
         "elapsed_s": (float(elapsed_s) if elapsed_s is not None
                       else time.perf_counter() - _T0),
         "created_unix": time.time(),
@@ -156,7 +140,6 @@ def _append_history(sidecar: dict) -> None:
         "schema": HISTORY_SCHEMA,
         "name": sidecar["name"],
         "preset": sidecar["preset"],
-        "backend": sidecar["backend"],
         "jobs": sidecar["jobs"],
         "trials": sidecar["trials"],
         "elapsed_s": sidecar["elapsed_s"],

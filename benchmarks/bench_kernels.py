@@ -5,12 +5,12 @@ timing) for the hot paths: device programming, the VAWO solver, the
 bit-accurate engine, and a crossbar-layer forward pass. They guard
 against performance regressions rather than reproducing a paper number.
 
-The engine and conv kernels run once per registered compute backend
-(``reference`` and ``vectorized``); each (kernel, backend) pair writes
-a ``kernels-<kernel>-<backend>.json`` sidecar whose ``elapsed_s`` is
-the measured mean, so the ``bench-regress`` gate tracks every kernel
-set independently. ``vectorized`` sidecars record
-``speedup_vs_reference``.
+The engine and conv kernels run twice: on the library's ``vectorized``
+kernels and on the loop-based ``reference`` oracle, substituted for
+:data:`repro.backend.KERNELS`. Each (kernel, kernel set) pair writes a
+``kernels-<kernel>-<set>.json`` sidecar whose ``elapsed_s`` is the
+measured mean, so the ``bench-regress`` gate tracks both
+independently. ``vectorized`` sidecars record ``speedup_vs_reference``.
 """
 
 import pytest
@@ -18,7 +18,8 @@ import numpy as np
 
 from _common import report
 
-from repro.backend import use_backend
+import repro.backend
+from repro.backend.reference import ReferenceBackend
 from repro.core.offsets import OffsetPlan
 from repro.core.vawo import run_vawo
 from repro.device.cell import MLC2, SLC
@@ -33,6 +34,14 @@ BACKENDS = ("reference", "vectorized")
 
 #: Mean seconds per (kernel, backend), for the speedup sidecar fields.
 _MEANS = {}
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request, monkeypatch):
+    """Run the test on the named kernel set; yields its name."""
+    if request.param == "reference":
+        monkeypatch.setattr(repro.backend, "KERNELS", ReferenceBackend())
+    return request.param
 
 
 def _record(benchmark, kernel: str, backend: str) -> None:
@@ -78,7 +87,6 @@ def test_vawo_solver_128x128(benchmark):
                        rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_bit_accurate_engine_forward(benchmark, backend):
     rng = make_rng(0)
     device = DeviceModel(MLC2, VariationModel(0.5), n_bits=8)
@@ -89,7 +97,7 @@ def test_bit_accurate_engine_forward(benchmark, backend):
         registers=np.zeros((plan.n_groups, 32)),
         complement=np.zeros((plan.n_groups, 32), dtype=bool),
         cell=MLC2, input_scale=1 / 255, weight_scale=0.01,
-        weight_zero_point=128, backend=backend)
+        weight_zero_point=128)
     x = rng.uniform(0, 1, size=(16, 128))
     # One warmup round so every backend's one-time setup (cached packed
     # operands, einsum path caches) is excluded from the steady-state
@@ -99,25 +107,20 @@ def test_bit_accurate_engine_forward(benchmark, backend):
     _record(benchmark, "engine-forward", backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_conv2d_float_forward(benchmark, backend):
     """The fast float conv path (im2col + shared matmul)."""
     rng = make_rng(0)
     x = Tensor(rng.normal(size=(8, 3, 32, 32)))
     w = Tensor(rng.normal(size=(16, 3, 3, 3)))
-    with use_backend(backend):
-        benchmark.pedantic(F.conv2d, args=(x, w),
-                           kwargs=dict(stride=1, padding=1),
-                           rounds=3, iterations=1)
+    benchmark.pedantic(F.conv2d, args=(x, w),
+                       kwargs=dict(stride=1, padding=1),
+                       rounds=3, iterations=1)
     _record(benchmark, "conv2d-float", backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_conv_via_crossbar_engine(benchmark, backend):
     """Conv the way the paper runs it: im2col columns through the
     bit-accurate crossbar engine of the unrolled kernel matrix."""
-    from repro.backend import get_backend
-
     rng = make_rng(0)
     c_in, kh, kw, f = 8, 3, 3, 16
     rows = c_in * kh * kw                                  # 72 wordlines
@@ -129,11 +132,11 @@ def test_conv_via_crossbar_engine(benchmark, backend):
         registers=np.zeros((plan.n_groups, f)),
         complement=np.zeros((plan.n_groups, f), dtype=bool),
         cell=MLC2, input_scale=1 / 255, weight_scale=0.01,
-        weight_zero_point=128, backend=backend)
+        weight_zero_point=128)
     x = rng.uniform(0, 1, size=(4, c_in, 14, 14))
 
     def conv_on_crossbar():
-        cols, oh, ow = get_backend(backend).im2col(x, kh, kw, 1, 1)
+        cols, oh, ow = F.im2col(x, kh, kw, 1, 1)
         flat = cols.transpose(0, 2, 1).reshape(-1, rows)   # (N*OH*OW, rows)
         return engine.forward(flat)
 

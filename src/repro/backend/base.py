@@ -1,28 +1,27 @@
-"""The kernel-set interface every compute backend implements.
+"""The kernel-set interface shared by the fast kernels and their oracle.
 
-A *backend* is a named bundle of the library's arithmetic hot paths:
-the im2col / col2im / pooling window kernels that
-:mod:`repro.nn.functional` builds convolution and pooling from, and the
-bit-serial crossbar VMM that :class:`repro.xbar.engine.CrossbarEngine`
-runs. Consumers never import a kernel implementation directly — they
-resolve the active backend through :func:`repro.backend.get_backend`
-and call the methods defined here, so kernel implementations can evolve
-(or be swapped wholesale) without touching the paper-faithful model.
+A *kernel set* bundles the library's arithmetic hot paths: the
+im2col / col2im / pooling window kernels that :mod:`repro.nn.functional`
+builds convolution and pooling from, and the bit-serial crossbar VMM
+that :class:`repro.xbar.engine.CrossbarEngine` runs. Consumers never
+import a kernel implementation directly — they resolve the library's
+one kernel set through :func:`repro.backend.get_backend` at call time
+and call the methods defined here.
 
-Two implementations ship with the library:
+Two implementations share this interface:
 
+* ``vectorized`` (:mod:`repro.backend.vectorized`) — the kernels the
+  library runs: strided-view windows and the bit-plane-packed GEMM VMM;
 * ``reference`` (:mod:`repro.backend.reference`) — the original
-  loop-based kernels, kept verbatim as the correctness oracle;
-* ``vectorized`` (:mod:`repro.backend.vectorized`) — the default:
-  strided-view windows and the bit-plane-packed GEMM VMM.
+  loop-based kernels, kept verbatim as the test oracle.
 
-Every backend must be *numerically interchangeable* with ``reference``
-up to float rounding; the guarantee is asserted by the shared
-equivalence suite in ``tests/backend/``.
+``vectorized`` must be *numerically interchangeable* with ``reference``
+up to float rounding; the guarantee is asserted by the equivalence
+suite in ``tests/backend/``.
 
 :class:`EngineOperands` carries the forward-invariant state of one
 crossbar engine (cells, significances, registers, complement masks and
-the derived packed matrices) so backends can cache expensive
+the derived packed matrices) so kernels can cache expensive
 precomputations per engine instead of rebuilding them on every
 ``forward`` call.
 """
@@ -137,7 +136,7 @@ class EngineOperands:
         Because every row of group ``g`` contributes its input once to
         the group sum ``gx_g``, the per-group digital term
         ``gx @ offset_gain`` equals the per-row GEMM
-        ``x @ offset_gain_rows`` — which lets the vectorized backend fold
+        ``x @ offset_gain_rows`` — which lets the vectorized kernels fold
         the offset add into the packed weight matrix.
         """
         if self._offset_gain_rows is None:
@@ -178,7 +177,7 @@ class EngineOperands:
         column and cell axes merged into one GEMM output axis: shape
         (n_groups, granularity, cols * n_cells), contiguous.
 
-        The batched-matmul operand of the vectorized backend's finite-ADC
+        The batched-matmul operand of the vectorized kernels' finite-ADC
         path: ``(k, bits*N, m) @ (k, m, cols*n_cells)`` produces every
         per-(bit, group, column, cell) current in one BLAS call.
         """
@@ -239,12 +238,12 @@ class KernelBackend(abc.ABC):
     Subclasses implement the private ``_impl`` hooks; the public
     methods add the per-kernel obs counters (``backend.<name>.<kernel>``)
     so kernel traffic is visible in run manifests regardless of which
-    backend served it. All kernels are pure functions of their inputs —
-    backends hold no per-call state, so one instance is shared
-    process-wide by the registry.
+    kernel set served it. All kernels are pure functions of their
+    inputs — kernel sets hold no per-call state, so one instance is
+    shared process-wide.
     """
 
-    #: Registry name; subclasses override.
+    #: Counter-name component; subclasses override.
     name: str = "abstract"
 
     # ------------------------------------------------------------------

@@ -5,11 +5,10 @@ This is the library's original kernel code, moved here verbatim from
 :mod:`repro.xbar.engine` (the bit-serial, group-at-a-time crossbar
 VMM). It stays deliberately simple and close to the paper's datapath
 description: one ADC conversion per cell column per cycle, one offset
-group at a time. Every other backend is validated against it by the
-shared equivalence suite, which is what makes swapping kernel
-implementations safe.
-
-Select it with ``REPRO_BACKEND=reference`` or ``--backend reference``.
+group at a time. The library never runs it: it is the test oracle the
+vectorized kernels are validated against (``tests/backend/``), called
+directly or substituted for :data:`repro.backend.KERNELS` with
+``monkeypatch``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The vectorized kernel set — the default backend.
+"""The vectorized kernel set — the kernels the library runs.
 
 Same arithmetic as :mod:`repro.backend.reference`, restructured for
 throughput:

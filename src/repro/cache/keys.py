@@ -30,14 +30,15 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: Code-version salt per cached stage. Bump a stage's number whenever
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
+#: workload/calibrate/gradients v2: the backend name left their keys.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 1,      # trained workload weights (eval.experiments)
+    "workload": 2,      # trained workload weights (eval.experiments)
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
-    "calibrate": 1,     # per-layer input activation peaks (core.pipeline)
-    "gradients": 1,     # per-weight gradient RMS estimates (core.pipeline)
+    "calibrate": 2,     # per-layer input activation peaks (core.pipeline)
+    "gradients": 2,     # per-weight gradient RMS estimates (core.pipeline)
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 5,  # programmed deployments (serve.registry);
+    "serve_program": 6,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v3: key folds the backend's cache_tag
@@ -46,7 +47,7 @@ STAGE_VERSIONS: Mapping[str, int] = {
                          # as a leading stuck_at scenario
                          # v5: the array's key_components folded once
                          # (no duplicate device/scenario fields)
-
+                         # v6: the backend name left the key
 }
 
 

@@ -38,7 +38,7 @@ no scenarios the arrays are bit-identical to the pre-HAL pipeline.
 
 ``serve`` starts a long-lived inference server over a programmed
 deployment (see ``repro.serve``): requests are micro-batched through
-the vectorized backend with responses bitwise identical to serving
+the vectorized kernels with responses bitwise identical to serving
 each request alone, programmed states warm-start from the artifact
 cache, and a bounded queue sheds overload with 429-style errors.
 
@@ -88,14 +88,6 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
                         "are bit-identical either way (default: 0)")
 
 
-def _add_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default=None, metavar="NAME",
-                   help="compute backend for all kernels (vectorized, "
-                        "reference; see 'repro backends'); default: "
-                        "$REPRO_BACKEND or vectorized. Every backend is "
-                        "numerically interchangeable")
-
-
 def _add_scenarios_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenarios", default=None, metavar="SPEC",
                    help="non-ideality scenario stack, e.g. "
@@ -123,7 +115,6 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--dva-sigma", type=float, default=None,
                    help="train with DVA variation injection at this sigma")
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -148,7 +139,6 @@ def _add_deploy(sub: argparse._SubParsersAction) -> None:
     _add_jobs_arg(p)
     _add_scenarios_arg(p)
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -192,7 +182,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                         "get a 504-style error (default: none)")
     _add_scenarios_arg(p)
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -206,7 +195,6 @@ def _add_experiment(sub: argparse._SubParsersAction) -> None:
     _add_jobs_arg(p)
     _add_scenarios_arg(p)
     _add_cache_args(p)
-    _add_backend_arg(p)
     _add_profile_args(p)
 
 
@@ -252,9 +240,10 @@ def _add_obs(sub: argparse._SubParsersAction) -> None:
 def _profile_begin(args: argparse.Namespace, command: str) -> bool:
     """Enable the obs layer for a ``--profile`` run.
 
-    Sets ``REPRO_OBS`` *before* the heavy modules are imported (the
-    command handlers import lazily), so decorator-form spans on the hot
-    kernels activate too, then turns the dynamic switch on. Spans
+    :func:`main` has already exported ``REPRO_OBS`` before any heavy
+    module was imported (the flag checks and command handlers import
+    lazily), so decorator-form spans on the hot kernels activate too;
+    this turns the dynamic switch on. Spans
     stream straight to ``<obs-dir>/<command>-spans.jsonl`` as they
     close, so a long ``full``-preset run never buffers its trace in
     memory (and a crash still leaves the trace on disk).
@@ -266,7 +255,6 @@ def _profile_begin(args: argparse.Namespace, command: str) -> bool:
     """
     if not getattr(args, "profile", False):
         return False
-    os.environ.setdefault("REPRO_OBS", "1")
     import repro.obs as obs
     args._obs_was_active = obs.enabled()
     obs.enable()
@@ -513,15 +501,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.backend import available_backends, default_backend_name
-    active = default_backend_name()
-    _echo("compute backends (REPRO_BACKEND / --backend):")
-    for name in available_backends():
-        _echo(f"{'*' if name == active else ' '} {name}")
-    return 0
-
-
 def _cmd_info(_args: argparse.Namespace) -> int:
     import numpy
     import scipy
@@ -535,11 +514,30 @@ def _cmd_info(_args: argparse.Namespace) -> int:
           "(repro.parallel, bit-identical to serial)")
     _echo("serving:       repro serve (micro-batched, bitwise-"
           "reproducible; registry warm starts via the artifact cache)")
-    _echo("backends:      see 'repro backends' (compute kernels)")
     from repro.array.scenarios import available_scenarios
     _echo(f"scenarios:     {', '.join(available_scenarios())} "
           "(--scenarios 'name:param=value;…' on deploy/serve)")
     return 0
+
+
+def _check_run_flags(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> None:
+    """Exit 2 on a bad ``--jobs``/``--trials``/``--granularity``/
+    ``--sigma``, by the library rule that would reject it mid-run."""
+    from repro.core import DeployConfig
+    from repro.device.variation import VariationModel
+    from repro.eval.accuracy import check_trials
+    from repro.parallel import resolve_jobs
+
+    for flag, check in (("jobs", lambda v: resolve_jobs(v, 1)),
+                        ("trials", check_trials),
+                        ("granularity", lambda v: DeployConfig(granularity=v)),
+                        ("sigma", VariationModel)):
+        if hasattr(args, flag):
+            try:
+                check(getattr(args, flag))
+            except ValueError as exc:
+                parser.error(f"bad --{flag}: {exc}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -557,21 +555,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_overhead(sub)
     _add_obs(sub)
     sub.add_parser("info", help="library and environment information")
-    sub.add_parser("backends",
-                   help="list compute backends, marking the active one")
 
     args = parser.parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from repro.backend import available_backends
-        if backend not in available_backends():
-            parser.error(f"unknown backend {backend!r} "
-                         f"(registered: {', '.join(available_backends())})")
-        # Exported through the environment (not set_default_backend) so
-        # --jobs worker processes inherit the same kernel set.
-        os.environ["REPRO_BACKEND"] = backend
-    # Scenario specs and --saf rates fail here, with exit 2, rather than
-    # at the first programming cycle after training and VAWO.
+    if getattr(args, "profile", False):   # before any heavy import below
+        os.environ.setdefault("REPRO_OBS", "1")
+    # Scenario specs, --saf rates and the run flags fail here, with
+    # exit 2, rather than at the first programming cycle after training
+    # and VAWO.
     scenarios = getattr(args, "scenarios", None)
     if scenarios is not None:
         from repro.array.scenarios import parse_scenario_spec
@@ -586,10 +576,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             StuckAtScenario(*saf)
         except ValueError as exc:
             parser.error(f"bad --saf rates: {exc}")
+    if args.command in ("deploy", "serve", "experiment"):
+        _check_run_flags(parser, args)
     if getattr(args, "no_cache", False) and getattr(args, "cache_dir", None):
         parser.error("--no-cache and --cache-dir are mutually exclusive")
     if getattr(args, "no_cache", False):
-        # Same env-export pattern as --backend: worker processes and
+        # Exported through the environment so worker processes and
         # every library layer see one consistent cache policy.
         os.environ["REPRO_CACHE"] = "0"
     elif getattr(args, "cache_dir", None):
@@ -602,7 +594,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "overhead": _cmd_overhead,
         "obs": _cmd_obs,
         "info": _cmd_info,
-        "backends": _cmd_backends,
     }
     return handlers[args.command](args)
 

@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 from repro.array import ArrayBackend, ScenarioArray, SimArray
 from repro.array.scenarios import (ScenarioSpec, StuckAtScenario,
                                    parse_scenario_spec)
-from repro.backend import default_backend_name
 from repro.cache import (CacheStore, active_store, digest_array,
                          digest_arrays, stage_key)
 from repro.core.crossbar_layers import (CrossbarConv2d, CrossbarLinear,
@@ -362,14 +361,12 @@ class Deployer:
             return
         n_cal = min(len(self.train_data), 256)
         images = self.train_data.images[:n_cal]
-        # Peaks depend on every parameter/buffer the forward pass reads
-        # (not just mappable weights) and on the kernel backend's float
-        # numerics, so both enter the key.
+        # Peaks depend on every parameter/buffer the forward pass reads,
+        # not just on the mappable weights, so the whole state keys them.
         components = dict(
             state=digest_arrays(self.model.state_dict()),
             images=digest_array(images),
-            input_bits=self.config.input_bits,
-            backend=default_backend_name())
+            input_bits=self.config.input_bits)
         arrays = self._stage(
             "calibrate", components,
             lambda: {"peaks": self._measure_peaks(images)},
@@ -413,8 +410,7 @@ class Deployer:
             labels=digest_array(self.train_data.labels),
             batches=self.config.grad_batches,
             batch_size=self.config.grad_batch_size,
-            seed=self._grad_seed,
-            backend=default_backend_name())
+            seed=self._grad_seed)
         arrays = self._stage("gradients", components,
                              self._compute_gradients, "deploy.gradients",
                              batches=self.config.grad_batches)
@@ -518,14 +514,11 @@ class Deployer:
                       for inner, seed in zip(arrays, seeds)]
         return arrays
 
-    def _build_deployed(self, cells_per_layer: List[np.ndarray],
-                        arrays: Optional[List[ArrayBackend]] = None,
-                        ) -> Module:
+    def _build_deployed(self, cells_per_layer: List[np.ndarray]) -> Module:
         deployed = copy.deepcopy(self.model)
-        for i, (prep, cells) in enumerate(zip(self.layers, cells_per_layer)):
+        for prep, cells in zip(self.layers, cells_per_layer):
             common = dict(
                 cells=cells, plan=prep.plan,
-                array=None if arrays is None else arrays[i],
                 registers=prep.assignment.registers.astype(np.float64),
                 complement=prep.assignment.complement,
                 cell=self.config.cell, weight_bits=self.config.weight_bits,
@@ -556,7 +549,7 @@ class Deployer:
         with span("deploy.program", layers=len(self.layers)):
             cells = [array.program(prep.assignment.ctw, rng)
                      for prep, array in zip(self.layers, self.arrays)]
-            deployed = self._build_deployed(cells, self.arrays)
+            deployed = self._build_deployed(cells)
         obs_metrics.inc("deploy.programming_cycles")
         if self.config.bn_recalibrate:
             with span("deploy.bn_recalibrate"):

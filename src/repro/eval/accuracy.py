@@ -60,6 +60,12 @@ def _deploy_and_score(deployer: Deployer, test_data: Dataset,
         return evaluate_accuracy(deployed, test_data, batch_size)
 
 
+def check_trials(n_trials: int) -> None:
+    """Reject a trial count below one programming cycle."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+
+
 def evaluate_deployment(deployer: Deployer, test_data: Dataset,
                         n_trials: int = 5, rng: RngLike = None,
                         batch_size: int = 256, jobs: Optional[int] = 1,
@@ -76,8 +82,7 @@ def evaluate_deployment(deployer: Deployer, test_data: Dataset,
     process mode (timed-out trials are retried once, then recorded as
     faults, which raise here).
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_trials(n_trials)
     run = run_trials(partial(_deploy_and_score, deployer, test_data,
                              batch_size),
                      n_trials, seed=rng, jobs=jobs, timeout_s=trial_timeout)

@@ -4,10 +4,10 @@ Convolution and pooling are implemented as autograd primitives (with
 hand-written backward passes over im2col buffers) because composing them
 from elementwise ops would be prohibitively slow in numpy. The window
 kernels themselves (im2col / col2im / pooling windows) are *not*
-implemented here: they dispatch to the active compute backend
-(:func:`repro.backend.get_backend`), so the same autograd graph runs
-unchanged on the loop-based ``reference`` kernels or the strided-view
-``vectorized`` ones.
+implemented here: they dispatch at call time to the library's kernel
+set (:func:`repro.backend.get_backend`), so the same autograd graph
+runs unchanged on the strided-view ``vectorized`` kernels or, in tests,
+on the loop-based ``reference`` oracle.
 Everything here is validated against finite differences in ``tests/nn``.
 """
 
@@ -24,14 +24,14 @@ from repro.utils.rng import make_rng
 
 
 # ----------------------------------------------------------------------
-# im2col / col2im (dispatched to the active backend)
+# im2col / col2im (dispatched to the kernel set)
 # ----------------------------------------------------------------------
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
            pad: int) -> Tuple[np.ndarray, int, int]:
     """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
 
-    Thin dispatch wrapper: the actual kernel belongs to the active
-    compute backend (``REPRO_BACKEND`` / ``--backend``).
+    Thin dispatch wrapper: the actual kernel belongs to the kernel set
+    :func:`repro.backend.get_backend` returns.
     """
     return get_backend().im2col(x, kh, kw, stride, pad)
 
@@ -39,7 +39,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
            kw: int, stride: int, pad: int) -> np.ndarray:
     """Fold columns back into an image of shape ``x_shape``,
-    accumulating overlaps (im2col adjoint); dispatched to the backend."""
+    accumulating overlaps (im2col adjoint); dispatched to the kernel set."""
     return get_backend().col2im(cols, x_shape, kh, kw, stride, pad)
 
 
@@ -83,7 +83,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # ----------------------------------------------------------------------
 def _pool_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     """View ``x`` (N, C, H, W) as windows (N, C, k*k, OH, OW);
-    dispatched to the active backend."""
+    dispatched to the kernel set."""
     return get_backend().pool_windows(x, k, stride)
 
 

@@ -8,11 +8,11 @@ trial callable. :func:`run_trial_task` is the module-level entry point
 
 1. synchronises the child's observability switch with the parent's
    (``obs_active`` — the one process-global switch a task carries; the
-   kernel backend and cache policy reach workers through the
-   environment) and **resets** the child-global tracer/metrics —
-   pool workers are reused across trials, and fork-started children
-   inherit the parent's recorded state, so without the reset a trial's
-   payload would smuggle foreign spans back;
+   cache policy reaches workers through the environment) and
+   **resets** the child-global tracer/metrics — pool workers are
+   reused across trials, and fork-started children inherit the
+   parent's recorded state, so without the reset a trial's payload
+   would smuggle foreign spans back;
 2. rebuilds the trial generator and runs the callable, converting any
    exception into an error payload (a raising trial must not poison the
    pool);

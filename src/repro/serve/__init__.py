@@ -8,7 +8,7 @@ Application lines:
 
 Components (:mod:`repro.serve.batcher`, :mod:`repro.serve.registry`)
     :class:`MicroBatcher` coalesces concurrently queued requests into
-    fixed-shape batches through the vectorized backend's batched path —
+    fixed-shape batches through the vectorized kernels' batched path —
     with results **bitwise identical** to serving each request alone
     (every dispatch is zero-padded to exactly ``max_batch`` samples, so
     the BLAS kernels see one constant problem shape regardless of how

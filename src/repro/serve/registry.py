@@ -10,8 +10,7 @@ masks, and the deployed model's full parameter/buffer state dict
 :mod:`repro.cache` object store, keyed by a ``serve_program`` stage key
 over everything that determines the state: the float model weights,
 the training data the post-programming tuning consumed, every config
-field of the deployment, the compute backend, and the deployer /
-programming seeds.
+field of the deployment, and the deployer / programming seeds.
 
 A restarted server with the same configuration therefore *warm-starts*:
 it reconstructs the deployer (cheap — its stages are themselves
@@ -27,7 +26,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.cache import CacheStore, active_store, digest_array, digest_arrays
 from repro.cache.keys import stage_key
 from repro.core.pipeline import Deployer
@@ -75,9 +73,8 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
     the scenario-stack parameters, so two runs share programmed state
     only when the array would reproduce it (stuck-at faults, including
     ``--saf`` sugar, arrive through the scenario stack) — all
-    deployment config fields, the kernel backend's name, and the seeds
-    of both the deployer's preparation stream and the programming cycle
-    itself.
+    deployment config fields, and the seeds of both the deployer's
+    preparation stream and the programming cycle itself.
     """
     cfg = deployer.config
     # Every layer's array shares one device model and scenario stack,
@@ -99,7 +96,6 @@ def serve_program_key(deployer: Deployer, deployer_seed: SeedLike,
         bias_tolerance=cfg.bias_tolerance,
         bn_recalibrate=cfg.bn_recalibrate,
         pwt=dataclasses.asdict(cfg.pwt),
-        backend=get_backend().name,
         deployer_seed=_seed_components(deployer_seed),
         program_seed=_seed_components(program_seed))
     return stage_key("serve_program", **components)
@@ -174,7 +170,7 @@ class ModelRegistry:
         # a loaded deployment observe the stored chip state.
         for array, layer_cells in zip(deployer.arrays, cells):
             array.load_cells(layer_cells)
-        deployed = deployer._build_deployed(cells, deployer.arrays)
+        deployed = deployer._build_deployed(cells)
         state = {name[len(_STATE_PREFIX):]: value
                  for name, value in arrays.items()
                  if name.startswith(_STATE_PREFIX)}

@@ -13,12 +13,12 @@ This models the full ISAAC-style datapath of Fig. 1(b) and Fig. 4:
 * the ISAAC weight shift subtracts ``zero_point * sum(x)`` at the end.
 
 The engine owns the *semantics* of this pipeline; the arithmetic itself
-is executed by the active compute backend
-(:func:`repro.backend.get_backend` — the loop-based ``reference``
-kernels or the bit-plane-packed ``vectorized`` GEMMs). All
+is executed by the library's kernel set, resolved at call time through
+:func:`repro.backend.get_backend` (the bit-plane-packed ``vectorized``
+GEMMs; tests substitute the loop-based ``reference`` oracle). All
 forward-invariant state (cell tensor, significances, registers,
 complement algebra, and the packed weight/significance tensors the
-vectorized backend contracts against) is precomputed once at construction
+vectorized kernels contract against) is precomputed once at construction
 into :class:`repro.backend.EngineOperands`, so repeated ``forward``
 calls — and every trial or served request after programming —
 recompute nothing.
@@ -32,11 +32,9 @@ this engine supports the readout ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-
-from typing import TYPE_CHECKING
 
 from repro.backend import EngineOperands, get_backend
 from repro.device.cell import CellType
@@ -73,9 +71,6 @@ class CrossbarEngine:
         Dequantization parameters.
     adc:
         ADC applied to every cell-column group current.
-    backend:
-        Compute-backend name executing the kernels; ``None`` follows
-        the process default (``REPRO_BACKEND`` / ``--backend``).
     """
 
     cells: np.ndarray
@@ -89,7 +84,6 @@ class CrossbarEngine:
     weight_zero_point: int = 0
     input_scale: float = 1.0
     adc: Optional[ADC] = None
-    backend: Optional[str] = None
 
     def __post_init__(self):
         rows, cols, n_cells = self.cells.shape
@@ -102,12 +96,10 @@ class CrossbarEngine:
             raise ValueError(f"complement mask must be {expected}")
         if self.adc is None:
             self.adc = ADC()
-        if self.backend is not None:
-            get_backend(self.backend)    # unknown names fail at build time
         self._significance = cell_significances(self.weight_bits, self.cell.bits)
         if len(self._significance) != n_cells:
             raise ValueError("cell count inconsistent with bit widths")
-        # Forward-invariant operand cache shared by all backends.
+        # Forward-invariant operand cache the kernels contract against.
         self._operands = EngineOperands(
             cells=self.cells, significance=self._significance,
             registers=self.registers, complement=self.complement,
@@ -137,14 +129,14 @@ class CrossbarEngine:
 
         Quantizes the inputs, hands the integer-domain VMM (bit-serial
         accumulation + Eq. 7 offset/complement post-processing + the
-        ISAAC zero-point correction) to the active backend's
+        ISAAC zero-point correction) to the kernel set's
         ``engine_vmm`` kernel over the cached operands, then
         dequantizes.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         obs_metrics.inc("xbar.engine.vmm_batches", x.shape[0])
         xq = self.quantize_inputs(x)                        # (N, rows)
-        z = get_backend(self.backend).engine_vmm(xq, self._operands)
+        z = get_backend().engine_vmm(xq, self._operands)
         return self.input_scale * self.weight_scale * z
 
     def effective_weights(self) -> np.ndarray:

@@ -1,18 +1,20 @@
-"""Every backend must reproduce the loop-based reference bit-for-bit.
+"""The vectorized kernels must reproduce the loop-based reference.
 
-The ``reference`` backend is the original code moved verbatim and acts
-as the correctness oracle; the sweep below drives every other
-registered backend (``vectorized``, …) over dense engines (ideal and
-finite-resolution ADC, complemented offset groups, partial last
-groups, boolean-masked rows, empty batches) and the conv/pooling window
-kernels (odd shapes, stride, padding), and asserts float-rounding-level
-agreement everywhere.
+:class:`ReferenceBackend` is the original code moved verbatim and acts
+as the correctness oracle; the sweep below drives
+:class:`VectorizedBackend` over dense engine VMMs (ideal and
+finite-resolution ADC, complemented offset groups, partial last groups,
+boolean-masked rows, empty batches) and the conv/pooling window kernels
+(odd shapes, stride, padding), and asserts float-rounding-level
+agreement everywhere. Test ids carry the kernel set's name.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend, use_backend
+import repro.backend
+from repro.backend.reference import ReferenceBackend
+from repro.backend.vectorized import VectorizedBackend
 from repro.core.offsets import OffsetPlan
 from repro.device.cell import MLC2, SLC
 from repro.device.lut import DeviceModel
@@ -23,11 +25,14 @@ from repro.utils.rng import make_rng
 from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
 
-OTHER_BACKENDS = [n for n in available_backends() if n != "reference"]
+REFERENCE = ReferenceBackend()
+
+#: Runs a test on the kernel set checked against :data:`REFERENCE`.
+FAST = pytest.mark.parametrize("fast", [VectorizedBackend()],
+                               ids=lambda kernels: kernels.name)
 
 
-def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False,
-                 backend=None):
+def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False):
     rng = make_rng(seed)
     device = DeviceModel(cell, VariationModel(0.5), n_bits=8)
     plan = OffsetPlan(rows, cols, m)
@@ -40,13 +45,23 @@ def build_engine(rows, cols, m, cell, seed, adc=None, complemented=False,
     return CrossbarEngine(
         cells=cells, plan=plan, registers=registers, complement=complement,
         cell=cell, weight_bits=8, input_bits=8, weight_scale=0.01,
-        weight_zero_point=128, input_scale=1 / 255, adc=adc, backend=backend)
+        weight_zero_point=128, input_scale=1 / 255, adc=adc)
+
+
+def assert_vmm_matches(fast, engine, x):
+    """Both kernel sets' ``engine_vmm`` on the engine's one shared
+    :class:`EngineOperands`, for float inputs ``x`` (N, rows)."""
+    xq = engine.quantize_inputs(np.atleast_2d(x))
+    op = engine._operands
+    np.testing.assert_allclose(fast.engine_vmm(xq, op),
+                               REFERENCE.engine_vmm(xq, op),
+                               rtol=1e-9, atol=1e-9)
 
 
 class TestEngineVMM:
-    """Dense bit-serial VMM: reference vs every other backend."""
+    """Dense bit-serial VMM: the fast kernels vs the reference."""
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @FAST
     @pytest.mark.parametrize("complemented", [False, True],
                              ids=["plain", "complement"])
     @pytest.mark.parametrize("adc", [None, ADC(bits=6, full_scale=64.0)],
@@ -55,47 +70,37 @@ class TestEngineVMM:
     @pytest.mark.parametrize("rows,m", [(16, 8), (13, 8), (16, 4), (7, 16)],
                              ids=["even", "partial-group", "m4",
                                   "one-short-group"])
-    def test_matches_reference(self, backend, complemented, adc, cell,
+    def test_matches_reference(self, fast, complemented, adc, cell,
                                rows, m):
-        args = dict(rows=rows, cols=5, m=m, cell=cell, seed=11, adc=adc,
-                    complemented=complemented)
-        ref = build_engine(backend="reference", **args)
-        alt = build_engine(backend=backend, **args)
+        engine = build_engine(rows=rows, cols=5, m=m, cell=cell, seed=11,
+                              adc=adc, complemented=complemented)
         x = make_rng(12).uniform(0, 1, size=(6, rows))
-        np.testing.assert_allclose(alt.forward(x), ref.forward(x),
-                                   rtol=1e-9, atol=1e-9)
+        assert_vmm_matches(fast, engine, x)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    def test_single_vector_and_empty_batch(self, backend):
-        ref = build_engine(16, 3, 8, SLC, seed=3, backend="reference")
-        alt = build_engine(16, 3, 8, SLC, seed=3, backend=backend)
-        x1 = make_rng(4).uniform(0, 1, size=16)          # 1-D input
-        np.testing.assert_allclose(alt.forward(x1), ref.forward(x1),
-                                   rtol=1e-9, atol=1e-9)
-        x0 = np.zeros((0, 16))
-        assert alt.forward(x0).shape == ref.forward(x0).shape == (0, 3)
+    @FAST
+    def test_single_vector_and_empty_batch(self, fast):
+        engine = build_engine(16, 3, 8, SLC, seed=3)
+        assert_vmm_matches(fast, engine, make_rng(4).uniform(0, 1, size=16))
+        xq0 = np.zeros((0, 16), dtype=np.int64)
+        op = engine._operands
+        assert fast.engine_vmm(xq0, op).shape == (0, 3)
+        assert REFERENCE.engine_vmm(xq0, op).shape == (0, 3)
 
     @pytest.mark.parametrize("adc", [None, ADC(bits=6, full_scale=64.0)],
                              ids=["ideal-adc", "6bit-adc"])
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    def test_boolean_masked_rows(self, backend, adc):
+    @FAST
+    def test_boolean_masked_rows(self, fast, adc):
         """Inactive wordlines (boolean-masked / all-zero rows) must not
-        perturb any backend: zeroed drives still contribute the digital
-        offset of their group exactly like the reference."""
+        perturb the fast kernels: zeroed drives still contribute the
+        digital offset of their group exactly like the reference."""
         rows = 19
-        ref = build_engine(rows, 4, 8, MLC2, seed=7, adc=adc,
-                           complemented=True, backend="reference")
-        alt = build_engine(rows, 4, 8, MLC2, seed=7, adc=adc,
-                           complemented=True, backend=backend)
+        engine = build_engine(rows, 4, 8, MLC2, seed=7, adc=adc,
+                              complemented=True)
         x = make_rng(8).uniform(0, 1, size=(5, rows))
         mask = make_rng(9).random(rows) > 0.5
         x[:, mask] = 0.0
-        np.testing.assert_allclose(alt.forward(x), ref.forward(x),
-                                   rtol=1e-9, atol=1e-9)
-        x_all_masked = np.zeros((3, rows))
-        np.testing.assert_allclose(alt.forward(x_all_masked),
-                                   ref.forward(x_all_masked),
-                                   rtol=1e-9, atol=1e-9)
+        assert_vmm_matches(fast, engine, x)
+        assert_vmm_matches(fast, engine, np.zeros((3, rows)))
 
 
 class TestWindowKernels:
@@ -110,45 +115,42 @@ class TestWindowKernels:
         (1, 2, 9, 7, 4, 3, 3, 2),
     ]
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @FAST
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_im2col(self, backend, shape):
+    def test_im2col(self, fast, shape):
         n, c, h, w, kh, kw, stride, pad = shape
         x = make_rng(20).normal(size=(n, c, h, w))
-        ref, oh_ref, ow_ref = get_backend("reference").im2col(
-            x, kh, kw, stride, pad)
-        alt, oh_alt, ow_alt = get_backend(backend).im2col(
-            x, kh, kw, stride, pad)
+        ref, oh_ref, ow_ref = REFERENCE.im2col(x, kh, kw, stride, pad)
+        alt, oh_alt, ow_alt = fast.im2col(x, kh, kw, stride, pad)
         assert (oh_alt, ow_alt) == (oh_ref, ow_ref)
         np.testing.assert_array_equal(alt, ref)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @FAST
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_col2im_adjoint(self, backend, shape):
+    def test_col2im_adjoint(self, fast, shape):
         n, c, h, w, kh, kw, stride, pad = shape
         oh = (h + 2 * pad - kh) // stride + 1
         ow = (w + 2 * pad - kw) // stride + 1
         cols = make_rng(21).normal(size=(n, c * kh * kw, oh * ow))
-        ref = get_backend("reference").col2im(
-            cols, (n, c, h, w), kh, kw, stride, pad)
-        alt = get_backend(backend).col2im(
-            cols, (n, c, h, w), kh, kw, stride, pad)
+        ref = REFERENCE.col2im(cols, (n, c, h, w), kh, kw, stride, pad)
+        alt = fast.col2im(cols, (n, c, h, w), kh, kw, stride, pad)
         np.testing.assert_allclose(alt, ref, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @FAST
     @pytest.mark.parametrize("k,stride", [(2, 2), (3, 1), (3, 2), (2, 3)])
-    def test_pool_windows(self, backend, k, stride):
+    def test_pool_windows(self, fast, k, stride):
         x = make_rng(22).normal(size=(2, 3, 7, 9))
-        ref = get_backend("reference").pool_windows(x, k, stride)
-        alt = get_backend(backend).pool_windows(x, k, stride)
+        ref = REFERENCE.pool_windows(x, k, stride)
+        alt = fast.pool_windows(x, k, stride)
         np.testing.assert_array_equal(alt, ref)
 
 
 class TestLayerOps:
-    """Whole forward/backward ops through the dispatch layer."""
+    """Whole forward/backward ops through the dispatch layer, run once
+    on each kernel set substituted for ``repro.backend.KERNELS``."""
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
-    def test_conv2d_forward_and_grad(self, backend):
+    @FAST
+    def test_conv2d_forward_and_grad(self, fast, monkeypatch):
         rng = make_rng(30)
         x_data = rng.normal(size=(2, 3, 7, 7))
         w_data = rng.normal(size=(4, 3, 3, 3))
@@ -160,18 +162,18 @@ class TestLayerOps:
             y.sum().backward()
             return y.data, x.grad, w.grad
 
-        with use_backend("reference"):
-            y_ref, gx_ref, gw_ref = run()
-        with use_backend(backend):
-            y_alt, gx_alt, gw_alt = run()
+        monkeypatch.setattr(repro.backend, "KERNELS", REFERENCE)
+        y_ref, gx_ref, gw_ref = run()
+        monkeypatch.setattr(repro.backend, "KERNELS", fast)
+        y_alt, gx_alt, gw_alt = run()
         np.testing.assert_allclose(y_alt, y_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(gx_alt, gx_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(gw_alt, gw_ref, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("backend", OTHER_BACKENDS)
+    @FAST
     @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
                              ids=["max", "avg"])
-    def test_pooling(self, backend, op):
+    def test_pooling(self, fast, op, monkeypatch):
         x_data = make_rng(31).normal(size=(2, 3, 6, 6))
 
         def run():
@@ -180,9 +182,9 @@ class TestLayerOps:
             y.sum().backward()
             return y.data, x.grad
 
-        with use_backend("reference"):
-            y_ref, g_ref = run()
-        with use_backend(backend):
-            y_alt, g_alt = run()
+        monkeypatch.setattr(repro.backend, "KERNELS", REFERENCE)
+        y_ref, g_ref = run()
+        monkeypatch.setattr(repro.backend, "KERNELS", fast)
+        y_alt, g_alt = run()
         np.testing.assert_array_equal(y_alt, y_ref)
         np.testing.assert_array_equal(g_alt, g_ref)

@@ -52,20 +52,6 @@ class TestKey:
         assert len(keys) == len(variants)
 
 
-class TestBackendKey:
-    def test_backend_name_keys_the_artifact(self, tiny_workload):
-        """Each compute backend programs into its own artifact space."""
-        from repro.backend import use_backend
-
-        d = _deployer(tiny_workload)
-        seed = spawn_seeds(20, 1)[0]
-        with use_backend("vectorized"):
-            key_vec = serve_program_key(d, 10, seed)
-        with use_backend("reference"):
-            key_ref = serve_program_key(d, 10, seed)
-        assert key_ref != key_vec
-
-
 class TestRoundTrip:
     def test_store_then_load_bitwise(self, tiny_workload, tmp_path):
         registry = ModelRegistry(CacheStore(tmp_path / "store"))

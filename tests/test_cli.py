@@ -10,7 +10,6 @@ class TestParsing:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro" in out and "vawo*" in out
-        assert "repro backends" in out
 
     def test_overhead(self, capsys):
         assert main(["overhead", "-m", "16", "128"]) == 0
@@ -23,45 +22,26 @@ class TestParsing:
         out = capsys.readouterr().out
         assert "area" in out
 
-    def test_backends_listing(self, capsys, monkeypatch):
-        import repro.backend as backend
-
-        # Independent of the ambient REPRO_BACKEND (the CI reference leg
-        # sets it) and of any process-wide override.
-        monkeypatch.delenv(backend.ENV_VAR, raising=False)
-        monkeypatch.setattr(backend, "_DEFAULT_OVERRIDE", None)
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "compute backends" in out
-        for name in ("reference", "vectorized"):
-            assert name in out
-        assert f"* {backend.default_backend_name()}" in out
-
-    def test_backend_flag_accepts_reference(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        try:
-            with pytest.raises(SystemExit):  # bad name still dies at parse
-                main(["deploy", "--backend", "warp-drive"])
-            assert main(["experiment", "--name", "table2",
-                         "--backend", "reference"]) == 0
-            assert os.environ.get("REPRO_BACKEND") == "reference"
-        finally:
-            # main() exports --backend through the environment; undo it
-            # so later tests see the ambient default again.
-            os.environ.pop("REPRO_BACKEND", None)
-        capsys.readouterr()
-
     @pytest.mark.parametrize("argv", [
         ["deploy", "--saf", "1.5", "0"],
         ["deploy", "--saf", "-0.1", "0"],
         ["serve", "--saf", "0.7", "0.6"],
         ["deploy", "--scenarios", "stuck_at:sa0_rate=1.5"],
         ["deploy", "--scenarios", "temperature:alpha_std=-1"],
+        ["deploy", "--jobs", "-1"],
+        ["experiment", "--name", "fig5a", "--jobs", "-1"],
+        ["deploy", "--trials", "0"],
+        ["experiment", "--name", "fig5a", "--trials", "0"],
+        ["deploy", "-m", "0"],
+        ["serve", "-m", "0"],
+        ["deploy", "--sigma", "-0.5"],
+        ["serve", "--sigma", "-0.5"],
     ], ids=["saf-over-1", "saf-negative", "serve-saf-sum",
-            "scenario-stuck-at", "scenario-temperature"])
-    def test_bad_fault_rates_exit_2_before_training(self, argv, monkeypatch):
+            "scenario-stuck-at", "scenario-temperature", "jobs-negative",
+            "experiment-jobs-negative", "trials-zero",
+            "experiment-trials-zero", "granularity-zero",
+            "serve-granularity-zero", "sigma-negative", "serve-sigma-negative"])
+    def test_bad_flags_exit_2_before_training(self, argv, monkeypatch):
         import repro.eval.experiments as ex
 
         def no_workload(*args, **kwargs):

@@ -9,13 +9,10 @@ from tools.bench_diff import (HISTORY_SCHEMA, SIDECAR_SCHEMA, compare,
                               run_trend, trend_verdicts)
 
 
-def write_sidecar(directory, name, elapsed_s, schema=SIDECAR_SCHEMA,
-                  backend=None):
+def write_sidecar(directory, name, elapsed_s, schema=SIDECAR_SCHEMA):
     directory.mkdir(parents=True, exist_ok=True)
     payload = {"schema": schema, "name": name, "preset": "quick",
                "elapsed_s": elapsed_s}
-    if backend is not None:
-        payload["backend"] = backend
     (directory / f"{name}.json").write_text(json.dumps(payload))
 
 
@@ -35,7 +32,7 @@ class TestLoadSidecars:
         write_sidecar(tmp_path, "other", 1.0, schema="something/else")
         entries = load_sidecars(tmp_path)
         assert set(entries) == {"fig5a"}
-        assert entries["fig5a"].elapsed_s == 10.0
+        assert entries["fig5a"] == 10.0
 
     def test_recurses(self, tmp_path):
         write_sidecar(tmp_path / "nested", "fig5a", 3.0)
@@ -59,44 +56,6 @@ class TestCompare:
         assert by["b"].regressed is True and by["b"].ratio == 2.0
         # Sub-floor baselines never gate, however bad the ratio looks.
         assert by["tiny"].skipped_short and not by["tiny"].regressed
-
-
-class TestBackendGating:
-    def one_comparison(self, tmp_path, base_backend, cur_backend):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend=base_backend)
-        write_sidecar(tmp_path / "cur", "fig5a", 50.0,
-                      backend=cur_backend)
-        comps = compare(load_sidecars(tmp_path / "base"),
-                        load_sidecars(tmp_path / "cur"),
-                        max_slowdown=1.5, min_baseline_s=2.0)
-        assert len(comps) == 1
-        return comps[0]
-
-    def test_backend_mismatch_never_regresses(self, tmp_path):
-        c = self.one_comparison(tmp_path, "vectorized", "reference")
-        assert c.skipped_backend and not c.regressed
-
-    def test_same_backend_still_gates(self, tmp_path):
-        c = self.one_comparison(tmp_path, "vectorized", "vectorized")
-        assert not c.skipped_backend and c.regressed
-
-    def test_untagged_sidecars_compare_with_anything(self, tmp_path):
-        # Pre-upgrade baselines lack the backend field; they must keep
-        # gating rather than silently skipping every comparison.
-        for base_backend, cur_backend in ((None, "reference"),
-                                          ("vectorized", None),
-                                          (None, None)):
-            c = self.one_comparison(tmp_path, base_backend, cur_backend)
-            assert not c.skipped_backend and c.regressed
-
-    def test_gate_passes_on_backend_switch(self, tmp_path, capsys):
-        write_sidecar(tmp_path / "base", "fig5a", 10.0,
-                      backend="vectorized")
-        write_sidecar(tmp_path / "cur", "fig5a", 99.0,
-                      backend="reference")
-        assert gate(tmp_path) == 0
-        assert "backend-skip" in capsys.readouterr().out
 
 
 class TestGate:
@@ -141,10 +100,9 @@ class TestGate:
         assert gate(tmp_path, max_slowdown=3.0) == 0
 
 
-def history_rows(elapsed, name="fig5a", preset="quick",
-                 backend="vectorized"):
+def history_rows(elapsed, name="fig5a", preset="quick"):
     return [{"schema": HISTORY_SCHEMA, "name": name, "preset": preset,
-             "backend": backend, "elapsed_s": e, "git_sha": f"sha{i}",
+             "elapsed_s": e, "git_sha": f"sha{i}",
              "created_unix": 1000.0 + i}
             for i, e in enumerate(elapsed)]
 
@@ -193,28 +151,31 @@ class TestTrendGate:
         rows = history_rows([5.0, 7.0, 10.0, 15.0, 15.0, 15.0, 15.0])
         assert trend(tmp_path, rows) == 0
 
-    def test_series_split_by_preset_and_backend(self, tmp_path):
-        # A preset or backend switch mid-history starts a new series —
-        # the scale jump must not read as a slowdown.
+    def test_series_split_by_preset(self, tmp_path):
+        # A preset switch mid-history starts a new series — the scale
+        # jump must not read as a slowdown.
         rows = (history_rows([10.0, 10.0]) +
-                history_rows([40.0, 41.0], preset="full") +
-                history_rows([90.0, 91.0], backend="reference"))
+                history_rows([40.0, 41.0], preset="full"))
         verdicts = trend_verdicts(rows, window=4, step_ratio=1.02,
                                   max_slowdown=1.5, min_baseline_s=2.0)
-        assert len(verdicts) == 3
+        assert len(verdicts) == 2
         assert not any(v.flagged for v in verdicts)
 
     def test_legacy_offload_tier_rows_still_load(self, tmp_path):
-        # Rows written while sidecars carried an offload_tier field keep
-        # loading and stay in their (name, preset, backend) series.
-        rows = history_rows([10.0, 11.6, 13.5, 15.7])
-        for row in rows[:2]:
-            row["offload_tier"] = "blas"
-        loaded = load_history(write_history(tmp_path, rows))
-        assert len(loaded) == 4
-        verdicts = trend_verdicts(loaded, window=4, step_ratio=1.02,
-                                  max_slowdown=1.5, min_baseline_s=2.0)
-        assert len(verdicts) == 1 and verdicts[0].flagged
+        # Rows written while sidecars carried an offload_tier or a
+        # backend field keep loading and join one (name, preset) series
+        # with the untagged rows written since.
+        for field, value in (("offload_tier", "blas"),
+                             ("backend", "vectorized")):
+            rows = history_rows([10.0, 11.6, 13.5, 15.7])
+            for row in rows[:2]:
+                row[field] = value
+            (tmp_path / field).mkdir()
+            loaded = load_history(write_history(tmp_path / field, rows))
+            assert len(loaded) == 4
+            verdicts = trend_verdicts(loaded, window=4, step_ratio=1.02,
+                                      max_slowdown=1.5, min_baseline_s=2.0)
+            assert len(verdicts) == 1 and verdicts[0].flagged
 
     def test_missing_history_passes(self, tmp_path):
         assert run_trend(tmp_path / "absent.jsonl", window=4,
@@ -308,8 +269,7 @@ class TestHistoryAppend:
         row = rows[0]
         assert row["schema"] == HISTORY_SCHEMA
         assert row["name"] == "fig5a" and row["preset"] == "quick"
-        assert set(row) >= {"backend", "jobs", "trials", "git_sha",
-                            "created_unix"}
+        assert set(row) >= {"jobs", "trials", "git_sha", "created_unix"}
         # The rows feed straight into the trend gate.
         verdicts = trend_verdicts(rows, window=4, step_ratio=1.02,
                                   max_slowdown=1.5, min_baseline_s=2.0)

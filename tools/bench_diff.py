@@ -19,11 +19,6 @@ Design points:
   interpreter startup noise, not by the code under test.
 - New benches (no baseline entry) and removed benches (baseline entry
   with no current run) are reported informationally, never fatally.
-- Sidecars are only gated against a baseline recorded on the **same
-  compute backend**: vectorized-vs-reference timings differ by orders
-  of magnitude, so a backend switch would read as a huge (and bogus)
-  regression. Mismatched pairs are reported as ``backend-skip``;
-  sidecars predating the ``backend`` field compare against anything.
 
 Besides the pairwise gate, ``--trend HISTORY.jsonl`` reads the
 append-only run log ``benchmarks/_common.py`` maintains
@@ -60,17 +55,6 @@ HISTORY_SCHEMA = "repro.bench.history/v1"
 
 
 @dataclass
-class BenchEntry:
-    """One parsed sidecar: the bench name and its wall-clock seconds."""
-
-    name: str
-    elapsed_s: float
-    preset: str
-    backend: Optional[str]
-    path: Path
-
-
-@dataclass
 class Comparison:
     """Baseline-vs-current verdict for one bench."""
 
@@ -79,18 +63,18 @@ class Comparison:
     current_s: float
     ratio: float
     skipped_short: bool
-    skipped_backend: bool
     regressed: bool
 
 
-def load_sidecars(directory: Path) -> Dict[str, BenchEntry]:
-    """Parse every ``*.json`` sidecar under ``directory`` (recursively).
+def load_sidecars(directory: Path) -> Dict[str, float]:
+    """Each bench's wall-clock seconds, from every ``*.json`` sidecar
+    under ``directory`` (recursively).
 
     Files that are not valid sidecars (wrong schema, missing fields,
     broken JSON) are skipped with a note on stderr — artifact
     directories often carry unrelated JSON.
     """
-    entries: Dict[str, BenchEntry] = {}
+    entries: Dict[str, float] = {}
     for path in sorted(directory.rglob("*.json")):
         try:
             payload = json.loads(path.read_text())
@@ -108,52 +92,32 @@ def load_sidecars(directory: Path) -> Dict[str, BenchEntry]:
             print(f"bench-diff: skipping malformed sidecar {path}",
                   file=sys.stderr)
             continue
-        backend = payload.get("backend")
-        entries[name] = BenchEntry(
-            name=name, elapsed_s=float(elapsed),
-            preset=str(payload.get("preset", "?")),
-            backend=str(backend) if isinstance(backend, str) else None,
-            path=path)
+        entries[name] = float(elapsed)
     return entries
 
 
-def _backends_comparable(baseline: BenchEntry, current: BenchEntry) -> bool:
-    """Whether two sidecars were recorded on the same compute backend.
-
-    Sidecars written before the ``backend`` field existed (``None``)
-    are comparable with anything — a missing tag must not silently drop
-    every comparison after an upgrade.
-    """
-    return baseline.backend is None or current.backend is None \
-        or baseline.backend == current.backend
-
-
-def compare(baseline: Dict[str, BenchEntry],
-            current: Dict[str, BenchEntry],
+def compare(baseline: Dict[str, float],
+            current: Dict[str, float],
             max_slowdown: float,
             min_baseline_s: float) -> List[Comparison]:
     """Compare every bench present in both sets; sorted worst-first."""
     out: List[Comparison] = []
     for name in sorted(set(baseline) & set(current)):
-        base_s = baseline[name].elapsed_s
-        cur_s = current[name].elapsed_s
+        base_s = baseline[name]
+        cur_s = current[name]
         ratio = cur_s / base_s if base_s > 0 else float("inf")
         skipped_short = base_s < min_baseline_s
-        skipped_backend = not _backends_comparable(baseline[name],
-                                                   current[name])
         out.append(Comparison(
             name=name, baseline_s=base_s, current_s=cur_s, ratio=ratio,
-            skipped_short=skipped_short, skipped_backend=skipped_backend,
-            regressed=(not skipped_short and not skipped_backend
-                       and ratio > max_slowdown)))
+            skipped_short=skipped_short,
+            regressed=not skipped_short and ratio > max_slowdown))
     out.sort(key=lambda c: c.ratio, reverse=True)
     return out
 
 
 def _fmt_row(c: Comparison) -> str:
     flag = "REGRESSED" if c.regressed else \
-        ("backend-skip" if c.skipped_backend else
-         "short-skip" if c.skipped_short else "ok")
+        ("short-skip" if c.skipped_short else "ok")
     return (f"  {c.name:<20}{c.baseline_s:>10.2f}s{c.current_s:>10.2f}s"
             f"{c.ratio:>8.2f}x  {flag}")
 
@@ -196,10 +160,8 @@ def run_diff(baseline_dir: Path, current_dir: Path, max_slowdown: float,
     new = sorted(set(current) - set(baseline))
     gone = sorted(set(baseline) - set(current))
 
-    backend_skips = sum(1 for c in comparisons if c.skipped_backend)
     print(f"bench-diff: {len(comparisons)} compared, "
-          f"{len(new)} new, {len(gone)} missing, "
-          f"{backend_skips} backend-skipped "
+          f"{len(new)} new, {len(gone)} missing "
           f"(max-slowdown {max_slowdown:.2f}x, "
           f"short floor {min_baseline_s:.1f}s)", file=out)
     if comparisons:
@@ -229,7 +191,6 @@ class TrendVerdict:
 
     name: str
     preset: str
-    backend: Optional[str]
     window: List[float]          # elapsed_s, oldest first
     shas: List[Optional[str]]
     flagged: bool
@@ -270,8 +231,9 @@ def trend_verdicts(rows: List[dict], window: int, step_ratio: float,
                    min_baseline_s: float) -> List[TrendVerdict]:
     """Per-series drift verdicts over each series' trailing window.
 
-    A series is one ``(name, preset, backend)`` group — a preset or
-    backend switch must not read as a slowdown. A series is flagged
+    A series is one ``(name, preset)`` group — a preset switch must not
+    read as a slowdown; rows older benches tagged with a ``backend``
+    field join the same series as untagged ones. A series is flagged
     when its last ``window`` runs each slowed by at least
     ``step_ratio`` *and* the cumulative first→last drift exceeds
     ``max_slowdown`` — exactly the creep the pairwise gate is blind to.
@@ -280,10 +242,10 @@ def trend_verdicts(rows: List[dict], window: int, step_ratio: float,
     """
     groups: Dict[tuple, List[dict]] = {}
     for row in rows:
-        key = (row["name"], row.get("preset"), row.get("backend"))
+        key = (row["name"], row.get("preset"))
         groups.setdefault(key, []).append(row)
     verdicts: List[TrendVerdict] = []
-    for (name, preset, backend), series in sorted(
+    for (name, preset), series in sorted(
             groups.items(), key=lambda kv: kv[0][0]):
         series.sort(key=lambda r: r.get("created_unix", 0.0))
         tail = series[-window:]
@@ -298,9 +260,8 @@ def trend_verdicts(rows: List[dict], window: int, step_ratio: float,
                 else float("inf")
             flagged = steps_up and cumulative > max_slowdown
         verdicts.append(TrendVerdict(
-            name=name, preset=str(preset), backend=backend,
-            window=elapsed, shas=shas, flagged=flagged,
-            skipped_short=skipped_short))
+            name=name, preset=str(preset), window=elapsed, shas=shas,
+            flagged=flagged, skipped_short=skipped_short))
     return verdicts
 
 
@@ -331,7 +292,7 @@ def run_trend(history_path: Path, window: int, step_ratio: float,
         shape = " -> ".join(f"{e:.2f}s" for e in v.window)
         flag = "TRENDING UP" if v.flagged else \
             ("short-skip" if v.skipped_short else "ok")
-        print(f"  {v.name:<20}[{v.preset}/{v.backend or '?'}] "
+        print(f"  {v.name:<20}[{v.preset}] "
               f"{shape}  ({v.cumulative:.2f}x)  {flag}", file=out)
         if v.flagged:
             print(f"  {'':<20}shas: "
