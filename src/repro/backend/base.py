@@ -1,9 +1,10 @@
 """The kernel-set interface shared by the fast kernels and their oracle.
 
 A *kernel set* bundles the library's arithmetic hot paths: the
-im2col / col2im / pooling window kernels that :mod:`repro.nn.functional`
-builds convolution and pooling from, and the bit-serial crossbar VMM
-that :class:`repro.xbar.engine.CrossbarEngine` runs. Consumers never
+im2col / col2im kernels that :func:`repro.nn.functional.conv2d` builds
+convolution from, the pooling-window kernel the pooling oracle in
+``tests/`` builds on, and the bit-serial crossbar VMM that
+:class:`repro.xbar.engine.CrossbarEngine` runs. Consumers never
 import a kernel implementation directly — they resolve the library's
 one kernel set through :func:`repro.backend.get_backend` at call time
 and call the methods defined here.

@@ -3,8 +3,8 @@
 Same arithmetic as :mod:`repro.backend.reference`, restructured for
 throughput:
 
-* im2col and pooling windows are built from one
-  ``np.lib.stride_tricks.as_strided`` view copied in a single pass
+* im2col (and the pooling windows the test oracle uses) are built from
+  one ``np.lib.stride_tricks.as_strided`` view copied in a single pass
   instead of a python loop over kernel positions;
 * the bit-serial crossbar VMM is reformulated as a few large GEMMs over
   bit-plane-packed operands cached on :class:`EngineOperands`:

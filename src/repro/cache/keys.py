@@ -31,14 +31,19 @@ __all__ = ["STAGE_VERSIONS", "digest_array", "digest_arrays",
 #: its algorithm (not just its inputs) changes, so artifacts written by
 #: older code are never reused against newer code.
 #: workload/calibrate/gradients v2: the backend name left their keys.
+#: workload/calibrate/gradients/serve_program v3/v3/v3/v7: the conv
+#: contractions became plain matmuls and pooling a strided-slice loop,
+#: which moves the float summation order of every repro.nn forward and
+#: backward pass these stages store the results of.
 STAGE_VERSIONS: Mapping[str, int] = {
-    "workload": 2,      # trained workload weights (eval.experiments)
+    "dataset": 1,       # rendered + split synthetic data (eval.experiments)
+    "workload": 3,      # trained workload weights (eval.experiments)
     "lut": 1,           # device E[R(v)] / Var[R(v)] tables (device.lut)
     "quantize": 1,      # per-layer NTWs + scales (core.pipeline)
-    "calibrate": 2,     # per-layer input activation peaks (core.pipeline)
-    "gradients": 2,     # per-weight gradient RMS estimates (core.pipeline)
+    "calibrate": 3,     # per-layer input activation peaks (core.pipeline)
+    "gradients": 3,     # per-weight gradient RMS estimates (core.pipeline)
     "vawo": 1,          # run_vawo solutions (core.vawo via core.pipeline)
-    "serve_program": 6,  # programmed deployments (serve.registry);
+    "serve_program": 7,  # programmed deployments (serve.registry);
                          # v2: HAL array capability dict + scenario
                          # parameters entered the key
                          # v3: key folds the backend's cache_tag
@@ -48,6 +53,8 @@ STAGE_VERSIONS: Mapping[str, int] = {
                          # v5: the array's key_components folded once
                          # (no duplicate device/scenario fields)
                          # v6: the backend name left the key
+                         # v7: PWT runs on the rewritten conv/pool
+                         # autograd (see above)
 }
 
 

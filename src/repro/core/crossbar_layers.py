@@ -104,10 +104,22 @@ class _CrossbarBase(Module):
     # ------------------------------------------------------------------
     # effective weights
     # ------------------------------------------------------------------
+    def _expanded_offsets(self) -> Tensor:
+        """The registers expanded to one offset per weight, (rows, cols),
+        differentiable: the backward pass sums each group's rows
+        (:meth:`OffsetPlan.group_sum`), Eq. 8's ``dL/db_g``."""
+        offsets, plan = self.offsets, self.plan
+
+        def backward(g: np.ndarray) -> None:
+            offsets._accumulate(plan.group_sum(g, axis=0))
+
+        return Tensor._make(offsets.data[self._group_index], (offsets,),
+                            backward)
+
     def effective_weight_matrix(self) -> Tensor:
         """The float (rows, cols) weight matrix, differentiable in b."""
         v = Tensor(self.crw)
-        b_exp = self.offsets[self._group_index]              # (rows, cols)
+        b_exp = self._expanded_offsets()                    # (rows, cols)
         q_eff = (v + b_exp) * self._sign + self._const
         return (q_eff - float(self.weight_zero_point)) * self.weight_scale
 

@@ -130,10 +130,13 @@ class Tensor:
         return value if isinstance(value, Tensor) else Tensor(value)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's ``.grad`` buffer."""
+        """Add ``grad`` into this tensor's ``.grad`` buffer (the first
+        write copies it: ``grad`` may alias an array the caller keeps)."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data, dtype=np.float64)
-        self.grad += grad
+            self.grad = np.array(np.broadcast_to(grad, self.shape),
+                                 dtype=np.float64)
+        else:
+            self.grad += grad
 
     @staticmethod
     def _make(data: np.ndarray, parents: Tuple["Tensor", ...],

@@ -1,6 +1,7 @@
 """The reference oracle composes through a deployed conv model: its
-forward and offset-gradient backward pass (im2col, pooling windows,
-col2im) agree on the library's kernels and on the monkeypatched oracle.
+forward and offset-gradient backward pass agree on the library's
+kernels and on the oracles — the monkeypatched reference im2col/col2im
+and the window-based max pooling of :func:`tests.helpers.window_pool2d`.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.nn.layers import Flatten, MaxPool2d, Sequential
 from repro.nn.tensor import Tensor
 from repro.quant.quantizer import InputQuantizer
 from repro.utils.rng import make_rng
+from tests.helpers import window_pool2d
 
 
 def crossbar_state(rows, cols, m, rng):
@@ -53,6 +55,8 @@ def test_deployed_model_matches_on_reference_kernels(monkeypatch):
 
     fast = forward_backward(model, images, labels)
     monkeypatch.setattr(repro.backend, "KERNELS", ReferenceBackend())
+    monkeypatch.setattr(F, "max_pool2d", lambda x, k, stride=None:
+                        window_pool2d(x, k, stride or k, "max"))
     oracle = forward_backward(model, images, labels)
     for got, want in zip(fast, oracle):
         assert np.abs(got).max() > 0

@@ -7,6 +7,11 @@ finite-resolution ADC, complemented offset groups, partial last groups,
 boolean-masked rows, empty batches) and the conv/pooling window kernels
 (odd shapes, stride, padding), and asserts float-rounding-level
 agreement everywhere. Test ids carry the kernel set's name.
+
+Pooling runs on no kernel set: :class:`TestLayerOps` checks it against
+the window + argmax/mean + col2im oracle built from the reference
+kernels (:func:`tests.helpers.window_pool2d`), and the conv matmuls
+against their einsum formulation.
 """
 
 import numpy as np
@@ -24,6 +29,7 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 from repro.xbar.adc import ADC
 from repro.xbar.engine import CrossbarEngine
+from tests.helpers import window_pool2d
 
 REFERENCE = ReferenceBackend()
 
@@ -170,21 +176,78 @@ class TestLayerOps:
         np.testing.assert_allclose(gx_alt, gx_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(gw_alt, gw_ref, rtol=1e-9, atol=1e-9)
 
-    @FAST
-    @pytest.mark.parametrize("op", [F.max_pool2d, F.avg_pool2d],
-                             ids=["max", "avg"])
-    def test_pooling(self, fast, op, monkeypatch):
-        x_data = make_rng(31).normal(size=(2, 3, 6, 6))
+    @pytest.mark.parametrize("shape,f", [((8, 1, 28, 28), 6),
+                                         ((8, 6, 14, 14), 16)],
+                             ids=["conv1", "conv2"])
+    def test_conv2d_matches_einsum_oracle(self, shape, f):
+        """The matmul contractions against the einsum formulation on the
+        reference kernels, stride 2 / padding 1 at LeNet's conv shapes."""
+        rng = make_rng(32)
+        n, c = shape[:2]
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        weight = Tensor(rng.normal(size=(f, c, 5, 5)), requires_grad=True)
+        bias = Tensor(rng.normal(size=f), requires_grad=True)
+        y = F.conv2d(x, weight, bias, stride=2, padding=1)
+        g = rng.normal(size=y.shape)
+        y.backward(g)
 
-        def run():
+        cols, oh, ow = REFERENCE.im2col(x.data, 5, 5, 2, 1)
+        w2 = weight.data.reshape(f, -1)
+        y_ref = (np.einsum("fk,nkp->nfp", w2, cols)
+                 + bias.data[:, None]).reshape(y.shape)
+        g2 = g.reshape(n, f, oh * ow)
+        gw_ref = np.einsum("nfp,nkp->fk", g2, cols).reshape(weight.shape)
+        gx_ref = REFERENCE.col2im(np.einsum("fk,nfp->nkp", w2, g2), shape,
+                                  5, 5, 2, 1)
+        np.testing.assert_allclose(y.data, y_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(weight.grad, gw_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(x.grad, gx_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 2, 3)),
+                                   rtol=1e-9, atol=1e-9)
+
+    #: (shape, k, stride, input) pooling cases: stride == k, overlapping
+    #: (stride < k) and gapped (stride > k) windows, odd H/W, and
+    #: tie-heavy inputs — ReLU outputs with all-zero windows, and small
+    #: integers that tie on nonzero values too.
+    POOL_CASES = {
+        "k2s2": ((2, 3, 6, 6), 2, 2, "normal"),
+        "k2s2-odd": ((2, 3, 7, 9), 2, 2, "normal"),
+        "k3s1-overlap": ((2, 3, 7, 6), 3, 1, "normal"),
+        "k3s2-overlap-odd": ((1, 2, 9, 7), 3, 2, "normal"),
+        "k2s3-gapped": ((2, 2, 8, 7), 2, 3, "normal"),
+        "k2s2-relu-ties": ((4, 6, 28, 28), 2, 2, "relu"),
+        "k3s1-relu-ties": ((2, 3, 9, 9), 3, 1, "relu"),
+        "k3s2-int-ties": ((2, 3, 9, 8), 3, 2, "int"),
+    }
+
+    @pytest.mark.parametrize("op", ["max", "avg"])
+    @pytest.mark.parametrize("case", list(POOL_CASES))
+    def test_pooling(self, case, op):
+        """The strided-slice pooling against the window + argmax/mean +
+        col2im oracle on the reference kernels: max values and gradients
+        exactly (ties go to the first window position), avg to 1e-12."""
+        shape, k, stride, kind = self.POOL_CASES[case]
+        rng = make_rng(31)
+        x_data = rng.normal(size=shape) - (0.5 if kind == "relu" else 0.0)
+        if kind == "relu":
+            x_data = np.maximum(x_data, 0.0)
+        elif kind == "int":
+            x_data = rng.integers(0, 3, size=shape).astype(np.float64)
+        op_fn = F.max_pool2d if op == "max" else F.avg_pool2d
+
+        def run(pool):
             x = Tensor(x_data, requires_grad=True)
-            y = op(x, 2, stride=2)
-            y.sum().backward()
+            y = pool(x)
+            y.backward(make_rng(33).normal(size=y.shape))
             return y.data, x.grad
 
-        monkeypatch.setattr(repro.backend, "KERNELS", REFERENCE)
-        y_ref, g_ref = run()
-        monkeypatch.setattr(repro.backend, "KERNELS", fast)
-        y_alt, g_alt = run()
-        np.testing.assert_array_equal(y_alt, y_ref)
-        np.testing.assert_array_equal(g_alt, g_ref)
+        y_alt, g_alt = run(lambda x: op_fn(x, k, stride=stride))
+        y_ref, g_ref = run(lambda x: window_pool2d(x, k, stride, op))
+        if kind == "relu":
+            assert (y_ref == 0.0).any(), "no all-zero window to route"
+        if op == "max":
+            np.testing.assert_array_equal(y_alt, y_ref)
+            np.testing.assert_array_equal(g_alt, g_ref)
+        else:
+            np.testing.assert_allclose(y_alt, y_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g_alt, g_ref, rtol=1e-12, atol=1e-12)

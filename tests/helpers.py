@@ -1,4 +1,5 @@
-"""Shared test utilities: numerical gradient checking."""
+"""Shared test utilities: numerical gradient checking and the
+window-based pooling oracle."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.backend.reference import ReferenceBackend
 from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
 
@@ -59,3 +61,35 @@ def gradcheck(build: Callable[[Sequence[Tensor]], Tensor],
         actual = t.grad
         assert actual is not None, "missing gradient"
         np.testing.assert_allclose(actual, expected, atol=atol, rtol=rtol)
+
+
+def window_pool2d(x: Tensor, k: int, stride: int, op: str) -> Tensor:
+    """Pooling the way the library first computed it — the oracle for
+    :func:`repro.nn.functional.max_pool2d` / ``avg_pool2d``.
+
+    The loop-based reference kernels unfold ``x`` into (N, C, k*k, OH,
+    OW) windows; ``op="max"`` takes ``argmax`` (first maximal position
+    wins ties) and routes each window's gradient there, ``op="avg"``
+    takes the mean and spreads it evenly; the backward pass folds the
+    per-window gradients back with the reference ``col2im``.
+    """
+    kernels = ReferenceBackend()
+    windows = kernels.pool_windows(x.data, k, stride)
+    if op == "max":
+        arg = windows.argmax(axis=2)
+        out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
+    else:
+        out = windows.mean(axis=2)
+    n, c, oh, ow = out.shape
+
+    def backward(g: np.ndarray) -> None:
+        if op == "max":
+            dwin = np.zeros((n, c, k * k, oh, ow))
+            np.put_along_axis(dwin, arg[:, :, None], g[:, :, None], axis=2)
+        else:
+            dwin = np.broadcast_to(g[:, :, None] / (k * k),
+                                   (n, c, k * k, oh, ow))
+        x._accumulate(kernels.col2im(dwin.reshape(n, c * k * k, oh * ow),
+                                     x.shape, k, k, stride, 0))
+
+    return Tensor._make(out, (x,), backward)

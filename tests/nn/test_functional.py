@@ -103,6 +103,10 @@ class TestPooling:
         assert out.shape == (1, 1, 3, 3)
         assert out.data[0, 0, 0, 0] == x[0, 0, :3, :3].max()
 
+    def test_max_pool_overlapping_gradcheck(self):
+        gradcheck(lambda ts: (F.max_pool2d(ts[0], 3, stride=2) ** 2).sum(),
+                  [(2, 2, 7, 6)])
+
     def test_avg_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = F.avg_pool2d(Tensor(x), 2)

@@ -45,6 +45,11 @@ class TestDegenerateShapes:
         out = F.max_pool2d(Tensor(x), 4)
         assert out.data.reshape(()) == x.max()
 
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_pool_window_larger_than_image(self, size):
+        with pytest.raises(ValueError, match="does not fit"):
+            F.max_pool2d(Tensor(np.zeros((1, 1, size, size))), 5)
+
     def test_batch_of_one(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
