@@ -14,8 +14,8 @@ import textwrap
 from pathlib import Path
 
 from tools.lint.callgraph import ModuleGraph, clear_parse_cache, get_context
-from tools.lint.hashing import normalized_dump
-from tools.lint.runner import check_paths, check_source, main
+from tools.lint.hashing import normalized_dump, stage_hashes
+from tools.lint.runner import check_paths, check_source, collect_files, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -309,6 +309,28 @@ class TestR8CacheSaltDrift:
         out = check_paths([str(root / "src")], select=["R8"],
                           stage_baseline=root / "tools/stage_hashes.json")
         assert out == []
+
+    def test_dataset_renderer_edit_changes_dataset_stage_hash(self):
+        # The rendered dataset is cached, so the renderers must be in the
+        # dataset stage's fingerprint: editing one has to trip R8.
+        clear_parse_cache()
+        root = Path(__file__).resolve().parents[2]
+        files = collect_files([str(root / "src")])
+        contexts = [get_context(str(f), f.read_text(encoding="utf-8"))
+                    for f in files]
+        before = stage_hashes(ModuleGraph(contexts))
+        renderer = root / "src/repro/data/synthetic.py"
+        source = renderer.read_text(encoding="utf-8")
+        # A private helper of the digit renderer, as an edit would touch.
+        edited = source.replace("rng.integers(-2, 3, size=2)",
+                                "rng.integers(-3, 4, size=2)")
+        assert edited != source
+        contexts = [get_context(str(f), edited) if f == renderer else ctx
+                    for f, ctx in zip(files, contexts)]
+        after = stage_hashes(ModuleGraph(contexts))
+        for stage in ("dataset", "workload"):
+            assert before[stage]["hash"] != after[stage]["hash"]
+        assert before["lut"]["hash"] == after["lut"]["hash"]
 
 
 class TestGraphInternals:
